@@ -590,6 +590,11 @@ Status DpuProxy::submit_decode(Lane& lane, PendingCall call) {
                                      call.enqueue_ns, now);
     call.enqueue_ns = now;  // decode-ring wait starts where the queue ended
   }
+  if (call.payload.size() <= kInlineCodecMaxBytes) {
+    // Small request: decoding it here costs less than the pool handoff.
+    relaxed::add(stats_.inline_decodes, 1);
+    return forward(lane, std::move(call));
+  }
   dpu::CodecJob job;
   job.kind = dpu::JobKind::kDecode;
   job.class_index = call.method->input_class;
@@ -606,7 +611,7 @@ Status DpuProxy::submit_decode(Lane& lane, PendingCall call) {
     return Status::ok();
   }
   // Ring full (or shutting down): spill to the lane thread rather than
-  // block — the old inline path is still bit-identical in output.
+  // block — the inline path is bit-identical in output.
   relaxed::add(stats_.inline_decodes, 1);
   call.payload = std::move(job.wire);
   return forward(lane, std::move(call));
@@ -635,14 +640,17 @@ void DpuProxy::complete_response(
     (*respond)(result.code(), {});
   } else if ((resp.header.flags & rdmarpc::kFlagInPlaceObject) != 0) {
     // Offloaded response: the host handed back an object, not bytes.
-    // Serialize it on the codec pool; the receive block is acked the
-    // moment this continuation returns, so the object is copied out into
-    // an owned slice first (inside submit_encode). kComplete for this
-    // reply is recorded by finish_encoded; t0 doubles as the encode
+    // A large one is serialized on the codec pool; the receive block is
+    // acked the moment this continuation returns, so the object is copied
+    // out into an owned slice first (inside submit_encode). kComplete for
+    // that reply is recorded by finish_encoded; t0 doubles as the encode
     // ring-wait start so the copy-out is accounted, not hidden.
-    if (submit_encode(lane, respond, tctx, resp, t0)) return;
-    // Budget/ring full: serialize on the lane thread — the pre-offload
-    // behavior, bit-identical bytes.
+    if (resp.payload.size() > kInlineCodecMaxBytes &&
+        submit_encode(lane, respond, tctx, resp, t0)) {
+      return;
+    }
+    // Small object, or budget/ring full: serialize on the lane thread,
+    // straight from the receive block — bit-identical bytes.
     relaxed::add(stats_.inline_serializes, 1);
     Bytes wire;
     Status st = serializer_.serialize(
@@ -809,7 +817,7 @@ Status DpuProxy::forward(Lane& lane, PendingCall call) {
         },
         // Continuation: the copy-path response is already serialized by
         // the host; an offloaded response (kFlagInPlaceObject) arrives as
-        // an in-place object the codec pool serializes (§III.A extension).
+        // an in-place object the DPU serializes (§III.A extension).
         [this, lane = &lane, respond, tctx](const Status& rpc_result,
                                             const rdmarpc::InMessage& resp) {
           complete_response(*lane, respond, tctx, rpc_result, resp);

@@ -25,6 +25,13 @@
 // finished wire bytes to the xRPC responder. A lane whose codec work is
 // slow therefore queues against the pool, not against its siblings, and
 // idle workers steal the backlog.
+//
+// Small jobs skip the pool (size routing, DESIGN.md §3.14): a request
+// whose wire payload, or an in-place reply whose object, is at most
+// kInlineCodecMaxBytes is decoded/serialized on the lane thread itself —
+// the same inline paths the pool-full spill uses. A codec job that small
+// costs no more than the ring handoff and worker wake-up it would pay.
+// The lane thread is a DPU core, so the host still does no codec work.
 #pragma once
 
 #include <atomic>
@@ -51,17 +58,29 @@ class ResourceSampler;
 
 namespace dpurpc::grpccompat {
 
+/// Size cutoff of the codec-job routing: request payloads and in-place
+/// reply objects of at most this many bytes run on the lane thread; only
+/// larger ones (and stream pieces) go to the codec pool. perfbench's
+/// layer numbers put one pool round trip (dpu.handoff_ns) at ~2.8 us
+/// against ~0.2 us to decode an 18-byte request (adt.decode_ns); even
+/// the worst case at the cutoff, ~1000 one-byte varints at ~2.7 ns each
+/// (wire.varint_decode_ns_per_val), costs no more than that handoff.
+inline constexpr size_t kInlineCodecMaxBytes = 1024;
+
 struct DpuProxyStats {
   std::atomic<uint64_t> offloaded_requests{0};
   std::atomic<uint64_t> deserialize_failures{0};
   std::atomic<uint64_t> responses_forwarded{0};
-  /// Requests decoded on the lane thread because the pool ring was full
-  /// (overload spill; the pre-sharding behavior).
+  /// Codec jobs decoded on the lane thread instead of the pool: unary
+  /// requests of at most kInlineCodecMaxBytes, plus any request or stream
+  /// piece spilled because the pool ring (or the lane's outstanding
+  /// budget) was full.
   std::atomic<uint64_t> inline_decodes{0};
   /// In-place object responses serialized by the codec pool.
   std::atomic<uint64_t> offloaded_responses{0};
-  /// In-place object responses serialized on the lane thread because the
-  /// pool ring (or the per-lane outstanding budget) was full.
+  /// In-place object responses serialized on the lane thread: objects of
+  /// at most kInlineCodecMaxBytes, plus larger ones spilled because the
+  /// pool ring (or the lane's outstanding budget) was full.
   std::atomic<uint64_t> inline_serializes{0};
   /// Streaming: chunk pieces decoded on the pool, payload bytes shipped
   /// through streams, and the high-water mark of bytes any single stream
@@ -282,17 +301,19 @@ class DpuProxy {
   /// Every path that erases a ProxyStream must pass through this, or the
   /// proxy-wide gauge leaks the stream's unacked bytes forever.
   void retire_stream_hold(ProxyStream& ps) noexcept;
-  /// Hand a call's decode to the pool (or decode inline when the ring is
-  /// full). Returns non-ok only on unrecoverable datapath failure.
+  /// Route a call's decode: small payloads and pool-full spills decode
+  /// inline (forward), the rest go to the pool. Returns non-ok only on
+  /// unrecoverable datapath failure.
   Status submit_decode(Lane& lane, PendingCall call);
   /// Ship a pool-decoded slice: copy into the send block, relocate its
   /// pointers to host space, and fire the RPC.
   Status forward_decoded(Lane& lane, dpu::CodecResult result);
-  /// Pre-sharding inline path; kept as the overload spill and the
-  /// decode-error short-circuit.
+  /// Inline path: deserialize straight into the send block on the lane
+  /// thread. Serves small payloads and the pool-full spill.
   Status forward(Lane& lane, PendingCall call);
   /// Shared RPC continuation tail: error → error reply; in-place object →
-  /// encode offload (inline-serialize spill); bytes → pass through.
+  /// lane-thread serialize (small object or pool-full spill) or encode
+  /// offload; bytes → pass through.
   void complete_response(Lane& lane,
                          const std::shared_ptr<xrpc::Server::Responder>& respond,
                          const trace::TraceContext& tctx, const Status& result,

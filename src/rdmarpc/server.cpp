@@ -93,7 +93,7 @@ void RpcServer::register_handler(uint16_t method_id, Handler handler) {
 }
 
 void RpcServer::register_inplace_handler(uint16_t method_id, InPlaceHandler handler) {
-  inplace_handlers_[method_id] = std::move(handler);
+  inplace_handlers_[method_id] = InPlaceMethod{std::move(handler)};
 }
 
 // Credit/buffer backpressure relief shared by both response paths: wait
@@ -107,10 +107,13 @@ Status RpcServer::pump_for_space() {
 }
 
 Status RpcServer::write_response_inplace(uint16_t request_id, const RequestView& req,
-                                         const InPlaceHandler& handler) {
+                                         InPlaceMethod& method) {
   trace::TraceContext tctx = trace::enabled() ? req.trace : trace::TraceContext();
   uint32_t extra = tctx.active() ? kWireTraceSize : 0;
-  uint32_t hint = 512;
+  // Replies of one method tend to be alike: start where the previous one
+  // ended up, so a method with large replies does not re-run its handler
+  // up the whole ladder on every call.
+  uint32_t hint = method.hint;
   for (int attempt = 0; attempt < 1000; ++attempt) {
     auto dst = conn_->begin_message(hint);
     if (!dst.is_ok()) {
@@ -142,12 +145,14 @@ Status RpcServer::write_response_inplace(uint16_t request_id, const RequestView&
     }
     uint32_t payload_size = 0;
     uint16_t class_index = 0;
-    Status result = handler(req, arena, conn_->translator(), &payload_size, &class_index);
+    Status result =
+        method.handler(req, arena, conn_->translator(), &payload_size, &class_index);
     if (result.is_ok()) {
       uint16_t flags = kFlagInPlaceObject;
       if (extra != 0) flags |= kFlagTraced;
       DPURPC_RETURN_IF_ERROR(conn_->commit_message(payload_size, request_id,
                                                    flags, class_index));
+      method.hint = std::max(payload_size, kFirstInPlaceHint);
       open_block_ids_.push_back(request_id);
       if (tctx.active()) {
         open_block_traced_.push_back({tctx, WallTimer::now()});

@@ -161,8 +161,16 @@ class RpcServer {
   Status write_response(uint16_t request_id, const Status& handler_status,
                         ByteSpan payload,
                         trace::TraceContext tctx = trace::TraceContext());
+  /// An offloaded-response method and the block hint its next reply
+  /// starts the ladder at: the payload size its previous reply needed.
+  struct InPlaceMethod {
+    InPlaceHandler handler;
+    uint32_t hint = kFirstInPlaceHint;
+  };
+  static constexpr uint32_t kFirstInPlaceHint = 512;
+
   Status write_response_inplace(uint16_t request_id, const RequestView& req,
-                                const InPlaceHandler& handler);
+                                InPlaceMethod& method);
   Status pump_for_space();
   void note_hint_retry() noexcept {
     ++hint_retries_count_;
@@ -174,7 +182,7 @@ class RpcServer {
 
   Connection* conn_;
   std::map<uint16_t, Handler> handlers_;
-  std::map<uint16_t, InPlaceHandler> inplace_handlers_;
+  std::map<uint16_t, InPlaceMethod> inplace_handlers_;
   RequestIdPool id_pool_;
   /// Request IDs answered in each flushed-but-unacked response block, FIFO.
   /// Retired vectors are recycled through `id_list_pool_` so the steady

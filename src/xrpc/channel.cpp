@@ -179,8 +179,9 @@ void Channel::finish_stream(const std::shared_ptr<StreamState>& st,
 }
 
 void Channel::reader_loop() {
+  FrameReader reader(fd_);
   while (true) {
-    auto frame = read_frame(fd_);
+    auto frame = reader.next();
     if (!frame.is_ok()) return;  // closed
     if (frame->type == FrameType::kStreamCredit) {
       std::shared_ptr<StreamState> st;

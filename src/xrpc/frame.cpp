@@ -1,5 +1,8 @@
 #include "xrpc/frame.hpp"
 
+#include <sys/socket.h>
+
+#include <cerrno>
 #include <cstring>
 
 #include "common/endian.hpp"
@@ -121,16 +124,11 @@ Status write_stream_abort(const Fd& fd, uint32_t call_id, Code code) {
                             ByteSpan(&tail, 1));
 }
 
-StatusOr<AnyFrame> read_frame(const Fd& fd) {
-  uint8_t len_buf[4];
-  DPURPC_RETURN_IF_ERROR(read_all(fd, len_buf, 4));
-  uint32_t body = load_le<uint32_t>(len_buf);
-  if (body < 5 || body > kMaxFrameBody) {
-    return Status(Code::kDataLoss, "xrpc frame length out of range");
-  }
-  Bytes buf(body);
-  DPURPC_RETURN_IF_ERROR(read_all(fd, buf.data(), body));
-  const auto* p = reinterpret_cast<const uint8_t*>(buf.data());
+namespace {
+
+/// Parse one frame body (everything after the length word).
+StatusOr<AnyFrame> parse_frame(const std::byte* data, uint32_t body) {
+  const auto* p = reinterpret_cast<const uint8_t*>(data);
   const auto* end = p + body;
 
   AnyFrame out;
@@ -224,6 +222,55 @@ StatusOr<AnyFrame> read_frame(const Fd& fd) {
     return Status(Code::kDataLoss, "unknown xrpc frame type");
   }
   return out;
+}
+
+}  // namespace
+
+Status FrameReader::fill(size_t n) {
+  if (buf_.size() - begin_ < n) {
+    // Not enough room behind the unparsed tail: slide it to the front.
+    std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  while (end_ - begin_ < n) {
+    ssize_t got = ::recv(fd_.get(), buf_.data() + end_, buf_.size() - end_, 0);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status(Code::kUnavailable, std::string("recv: ") + std::strerror(errno));
+    }
+    if (got == 0) {
+      return Status(Code::kUnavailable, end_ == begin_
+                                            ? "peer closed connection"
+                                            : "peer closed mid-frame");
+    }
+    end_ += static_cast<size_t>(got);
+  }
+  return Status::ok();
+}
+
+StatusOr<AnyFrame> FrameReader::next() {
+  if (begin_ == end_) begin_ = end_ = 0;  // all parsed: recv into the whole buffer
+  DPURPC_RETURN_IF_ERROR(fill(4));
+  const uint32_t body =
+      load_le<uint32_t>(reinterpret_cast<const uint8_t*>(buf_.data() + begin_));
+  if (body < 5 || body > kMaxFrameBody) {
+    return Status(Code::kDataLoss, "xrpc frame length out of range");
+  }
+  if (4 + size_t{body} <= buf_.size()) {
+    DPURPC_RETURN_IF_ERROR(fill(4 + size_t{body}));
+    const std::byte* data = buf_.data() + begin_ + 4;
+    begin_ += 4 + size_t{body};
+    return parse_frame(data, body);
+  }
+  // Larger than the buffer: move what already arrived into the frame's
+  // own allocation and read the rest straight into it.
+  Bytes big(body);
+  const size_t have = end_ - begin_ - 4;
+  std::memcpy(big.data(), buf_.data() + begin_ + 4, have);
+  begin_ = end_ = 0;
+  DPURPC_RETURN_IF_ERROR(read_all(fd_, big.data() + have, body - have));
+  return parse_frame(big.data(), body);
 }
 
 }  // namespace dpurpc::xrpc

@@ -100,7 +100,33 @@ struct AnyFrame {
   StreamFrame stream;  ///< valid for the kStream* types
 };
 
-/// Blocking read of the next frame; kUnavailable on clean close.
-StatusOr<AnyFrame> read_frame(const Fd& fd);
+/// Buffered inbound framing, one per reader thread. Each recv() takes as
+/// many bytes as the socket holds into one reusable buffer, and next()
+/// hands out every complete frame in it before the following recv() — so
+/// a burst of small frames costs one syscall, not two per frame. A frame
+/// larger than the buffer (a big stream chunk) is gathered into its own
+/// allocation; the buffer never grows. A declared length outside
+/// [5, kMaxFrameBody] fails with kDataLoss before any body is read or
+/// allocated.
+class FrameReader {
+ public:
+  static constexpr size_t kBufferBytes = 64u << 10;
+
+  /// `fd` must outlive the reader.
+  explicit FrameReader(const Fd& fd) : fd_(fd), buf_(kBufferBytes) {}
+
+  /// Blocking read of the next frame; kUnavailable when the peer closes
+  /// (cleanly or mid-frame), kDataLoss on a malformed frame.
+  StatusOr<AnyFrame> next();
+
+ private:
+  /// Make at least `n` (<= kBufferBytes) unparsed bytes available.
+  Status fill(size_t n);
+
+  const Fd& fd_;
+  Bytes buf_;
+  size_t begin_ = 0;  ///< first unparsed byte
+  size_t end_ = 0;    ///< one past the last received byte
+};
 
 }  // namespace dpurpc::xrpc

@@ -139,12 +139,15 @@ TEST_F(ForensicsFixture, ScrapeCarriesQuantilesGaugesAndExemplars) {
   proxy_->register_resource_probes(sampler);
   ASSERT_GE(sampler.probe_count(), 4u);
 
+  // Values above the lane-thread cutoff, so every decode rides the pool
+  // and the worker_decode stage has something to report.
   constexpr int kCalls = 8;
   const auto* put_desc = pool_.find_message("kv.PutRequest");
   for (int i = 0; i < kCalls; ++i) {
     proto::DynamicMessage m(put_desc);
     m.set_string(put_desc->field_by_name("key"), "k" + std::to_string(i));
-    m.set_string(put_desc->field_by_name("value"), "v" + std::to_string(i));
+    m.set_string(put_desc->field_by_name("value"),
+                 "v" + std::to_string(i) + std::string(kInlineCodecMaxBytes, 'v'));
     Bytes wire = proto::WireCodec::serialize(m);
     auto resp = (*chan)->call("kv.KvStore/Put", ByteSpan(wire));
     ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();

@@ -131,9 +131,10 @@ TEST(MultiLane, ProxyLanesAndHostPoolServeConcurrently) {
 
 // Lane sharding (DESIGN.md §3.14): one proxy with MORE connections than
 // decode workers, hammered by concurrent clients, so the per-lane rings
-// multiplex onto a smaller worker pool and stealing kicks in. Verifies
-// the decode ledger balances: every request was decoded exactly once,
-// either by a pool worker or by the lane's inline spill path.
+// multiplex onto a smaller worker pool and stealing kicks in. Even calls
+// carry keys above the lane-thread cutoff (pool route), odd calls small
+// ones (lane route). Verifies the codec ledger balances: every request
+// was decoded exactly once, either by a pool worker or on the lane.
 TEST(MultiLane, CodecPoolShardsAcrossFewerWorkersThanLanes) {
   constexpr size_t kLanes = 4;
   constexpr int kWorkers = 2;  // fewer workers than lanes, deliberately
@@ -202,8 +203,11 @@ TEST(MultiLane, CodecPoolShardsAcrossFewerWorkersThanLanes) {
       const auto* resp_desc = pool.find_message("ml.Resp");
       for (int i = 0; i < kCallsEach; ++i) {
         proto::DynamicMessage q(req_desc);
+        // The reply echoes the key, so its object follows the same route.
+        const size_t pad = i % 2 == 0 ? kInlineCodecMaxBytes + (i % 7) * 16
+                                      : static_cast<size_t>(i % 7) * 16;
         std::string key = "w" + std::to_string(c) + "-" + std::to_string(i) +
-                          std::string(static_cast<size_t>(i % 7) * 16, 'p');
+                          std::string(pad, 'p');
         q.set_string(req_desc->field_by_name("key"), key);
         q.set_uint64(req_desc->field_by_name("n"), static_cast<uint64_t>(i));
         Bytes wire = proto::WireCodec::serialize(q);
@@ -236,6 +240,11 @@ TEST(MultiLane, CodecPoolShardsAcrossFewerWorkersThanLanes) {
   EXPECT_EQ(pool_encodes + proxy.stats().inline_serializes.load(), total);
   EXPECT_EQ(pool_encodes, proxy.stats().offloaded_responses.load());
   EXPECT_EQ(proxy.stats().offloaded_requests.load(), total);
+  // Both routes carried traffic in both directions.
+  EXPECT_GT(pool_decodes, 0u);
+  EXPECT_GT(pool_encodes, 0u);
+  EXPECT_GT(proxy.stats().inline_decodes.load(), 0u);
+  EXPECT_GT(proxy.stats().inline_serializes.load(), 0u);
 
   // Bounds-safe introspection: an out-of-range lane reads as zero (the
   // monitor scrapes this concurrently with shutdown; it must never throw).

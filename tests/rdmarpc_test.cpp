@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <random>
 #include <set>
 #include <thread>
@@ -516,6 +517,46 @@ TEST(Integration, OversizedInPlaceResponseGetsItsOwnBlock) {
   // Regression: every doubling of the block hint must be counted — both
   // here and in dpurpc_block_hint_retries_total (same counter feeds both).
   EXPECT_GT(f.server.block_hint_retries(), 0u);
+}
+
+TEST(Integration, InPlaceHintStartsAtPreviousReplySize) {
+  // The block-hint ladder is per method and remembers: once a method's
+  // reply needed a big block, its next reply of the same size starts
+  // there and runs the handler exactly once.
+  Fabric f;
+  constexpr uint32_t kObjectBytes = 20000;
+  int handler_runs = 0;
+  f.server.register_inplace_handler(
+      kEcho, [&handler_runs](const RequestView&, arena::Arena& arena,
+                             const arena::AddressTranslator&, uint32_t* payload_size,
+                             uint16_t* class_index) -> Status {
+        ++handler_runs;
+        auto* p = static_cast<std::byte*>(arena.allocate(kObjectBytes));
+        if (p == nullptr) return Status(Code::kResourceExhausted, "full");
+        std::memset(p, 0x5a, kObjectBytes);
+        *payload_size = static_cast<uint32_t>(arena.used());
+        *class_index = 9;
+        return Status::ok();
+      });
+  auto call_once = [&] {
+    bool ok = false;
+    ASSERT_TRUE(f.client
+                    .call(kEcho, as_bytes_view("x"),
+                          [&](const Status& st, const InMessage& resp) {
+                            ok = st.is_ok() &&
+                                 resp.header.payload_size >= kObjectBytes;
+                          })
+                    .is_ok());
+    ASSERT_TRUE(f.pump_until(f.client.responses_received() + 1).is_ok());
+    EXPECT_TRUE(ok);
+  };
+  call_once();
+  const uint64_t first_retries = f.server.block_hint_retries();
+  EXPECT_GT(first_retries, 0u);  // the first reply climbs the ladder
+  handler_runs = 0;
+  call_once();
+  EXPECT_EQ(f.server.block_hint_retries(), first_retries);
+  EXPECT_EQ(handler_runs, 1);
 }
 
 TEST(Integration, CreditsAndBuffersFullyReclaimedAtQuiescence) {

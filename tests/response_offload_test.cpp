@@ -71,6 +71,9 @@ class ResponseOffloadFixture : public ::testing::Test {
     port_ = *port;
   }
 
+  void expect_replies_match_oracle(int calls, size_t max_text,
+                                   const std::string& pad);
+
   void TearDown() override {
     if (proxy_) proxy_->stop();
     stop_.store(true);
@@ -150,16 +153,19 @@ TEST_F(ResponseOffloadFixture, FullyOffloadedRoundTrip) {
   EXPECT_EQ(r.get_string(results_desc->field_by_name("shard")), "shard-7");
 }
 
-// The acceptance criterion, literally: bytes serialized by the codec
-// pool's encode direction are bit-identical to what the reference
-// WireCodec produces for the equivalent DynamicMessage — over randomized
-// response content, not one lucky shape.
-TEST_F(ResponseOffloadFixture, PoolSerializedBytesMatchWireCodecOracle) {
+// The acceptance criterion, literally: bytes serialized on the DPU are
+// bit-identical to what the reference WireCodec produces for the
+// equivalent DynamicMessage — over randomized response content, not one
+// lucky shape. Every reply's shard is the request text plus `pad`, which
+// decides whether the object crosses the lane-thread cutoff.
+void ResponseOffloadFixture::expect_replies_match_oracle(int calls,
+                                                         size_t max_text,
+                                                         const std::string& pad) {
   ASSERT_TRUE(host_
                   ->register_unary_inplace(
                       "ro.Search/Find",
-                      [](const ServerContext&, const adt::LayoutView& req,
-                         adt::LayoutBuilder& resp) {
+                      [pad](const ServerContext&, const adt::LayoutView& req,
+                            adt::LayoutBuilder& resp) {
                         // Deterministic function of the request, so the
                         // test can rebuild the exact message client-side.
                         std::string text(req.get_string(1));
@@ -173,7 +179,7 @@ TEST_F(ResponseOffloadFixture, PoolSerializedBytesMatchWireCodecOracle) {
                               2, static_cast<double>(i) * 0.25));
                         }
                         DPURPC_RETURN_IF_ERROR(resp.set_uint64(2, top_k));
-                        return resp.set_string(3, text);
+                        return resp.set_string(3, text + pad);
                       })
                   .is_ok());
   start();
@@ -184,11 +190,10 @@ TEST_F(ResponseOffloadFixture, PoolSerializedBytesMatchWireCodecOracle) {
   const auto* hit_desc = pool_.find_message("ro.Hit");
 
   std::mt19937_64 rng(kDefaultSeed);
-  constexpr int kCalls = 40;
-  for (int i = 0; i < kCalls; ++i) {
+  for (int i = 0; i < calls; ++i) {
     // Strings long and short: SSO and heap forms both cross the
-    // copy-out + relocate + pool-serialize path.
-    std::string text = random_ascii(rng, 1 + rng() % 150);
+    // serialize path.
+    std::string text = random_ascii(rng, 1 + rng() % max_text);
     // top_k is uint32 on the wire: stay inside it so client and server
     // compute the same k % 6.
     uint64_t k = rng() % 100000;
@@ -209,9 +214,17 @@ TEST_F(ResponseOffloadFixture, PoolSerializedBytesMatchWireCodecOracle) {
                       static_cast<double>(j) * 0.25);
     }
     want.set_uint64(results_desc->field_by_name("total"), k % 6);
-    want.set_string(results_desc->field_by_name("shard"), text);
+    want.set_string(results_desc->field_by_name("shard"), text + pad);
     EXPECT_EQ(*resp, proto::WireCodec::serialize(want)) << "call " << i;
   }
+}
+
+// Replies above the cutoff: every object is copied out and serialized by
+// the codec pool's encode direction.
+TEST_F(ResponseOffloadFixture, PoolSerializedBytesMatchWireCodecOracle) {
+  constexpr int kCalls = 40;
+  ASSERT_NO_FATAL_FAILURE(expect_replies_match_oracle(
+      kCalls, 150, std::string(kInlineCodecMaxBytes, '=')));
 
   // The ledger: every reply was an in-place object, and each one was
   // serialized exactly once — on the pool unless the spill path fired.
@@ -224,6 +237,17 @@ TEST_F(ResponseOffloadFixture, PoolSerializedBytesMatchWireCodecOracle) {
   for (size_t w = 0; w < proxy_->codec_pool().worker_count(); ++w)
     pool_encodes += proxy_->codec_pool().worker_stats(w).encodes;
   EXPECT_EQ(pool_encodes, static_cast<uint64_t>(kCalls));
+}
+
+// Replies at most the cutoff: serialized on the lane thread straight from
+// the receive block, with the same bytes; the pool runs no job at all.
+TEST_F(ResponseOffloadFixture, LaneSerializedBytesMatchWireCodecOracle) {
+  constexpr int kCalls = 40;
+  ASSERT_NO_FATAL_FAILURE(expect_replies_match_oracle(kCalls, 40, ""));
+  const auto& stats = proxy_->stats();
+  EXPECT_EQ(stats.inline_serializes.load(), static_cast<uint64_t>(kCalls));
+  EXPECT_EQ(stats.offloaded_responses.load(), 0u);
+  EXPECT_EQ(proxy_->codec_pool().total_jobs(), 0u);
 }
 
 TEST_F(ResponseOffloadFixture, ManyCallsStayConsistent) {

@@ -1,11 +1,16 @@
 // Tests for the xRPC transport: framing, server/channel behaviour,
 // concurrent outstanding calls, and failure handling.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <thread>
 #include <vector>
 
+#include "common/endian.hpp"
 #include "common/rng.hpp"
 #include "xrpc/channel.hpp"
 #include "xrpc/server.hpp"
@@ -394,6 +399,145 @@ TEST(Xrpc, MetricsScrapeAbsentWithoutRegistry) {
   ASSERT_TRUE(chan.is_ok());
   auto resp = (*chan)->call(std::string(kMetricsMethod), {});
   EXPECT_FALSE(resp.is_ok());  // echo_server dispatch answers kNotFound
+}
+
+// ------------------------------------------------------------ FrameReader
+
+struct SocketPair {
+  Fd writer;
+  Fd reader;
+};
+
+/// Connected stream sockets. The reader side times out after 2 s, so a
+/// reader that wrongly waits for bytes fails the test instead of hanging.
+SocketPair socket_pair() {
+  int sv[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  timeval timeout{2, 0};
+  ::setsockopt(sv[1], SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  return {Fd(sv[0]), Fd(sv[1])};
+}
+
+/// An untraced request frame, encoded by hand from the documented layout.
+Bytes request_frame(uint32_t call_id, std::string_view method,
+                    std::string_view payload) {
+  const auto body = static_cast<uint32_t>(1 + 4 + 2 + method.size() + payload.size());
+  Bytes frame(4 + body);
+  auto* p = reinterpret_cast<uint8_t*>(frame.data());
+  store_le<uint32_t>(p, body);
+  p[4] = static_cast<uint8_t>(FrameType::kRequest);
+  store_le<uint32_t>(p + 5, call_id);
+  store_le<uint16_t>(p + 9, static_cast<uint16_t>(method.size()));
+  std::memcpy(p + 11, method.data(), method.size());
+  std::memcpy(p + 11 + method.size(), payload.data(), payload.size());
+  return frame;
+}
+
+void expect_request(StatusOr<AnyFrame>& frame, uint32_t call_id,
+                    std::string_view method, std::string_view payload) {
+  ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
+  ASSERT_EQ(frame->type, FrameType::kRequest);
+  EXPECT_EQ(frame->request.call_id, call_id);
+  EXPECT_EQ(frame->request.method, method);
+  EXPECT_EQ(as_string_view(ByteSpan(frame->request.payload)), payload);
+}
+
+TEST(FrameReader, ParsesEveryFrameOfOneSendInOrder) {
+  auto [writer, reader_fd] = socket_pair();
+  constexpr uint32_t kFrames = 64;
+  Bytes burst;
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    Bytes f = request_frame(i, "m/" + std::to_string(i), std::string(i, 'a' + i % 26));
+    burst.insert(burst.end(), f.begin(), f.end());
+  }
+  ASSERT_EQ(::send(writer.get(), burst.data(), burst.size(), 0),
+            static_cast<ssize_t>(burst.size()));
+  FrameReader reader(reader_fd);
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    auto frame = reader.next();
+    expect_request(frame, i, "m/" + std::to_string(i), std::string(i, 'a' + i % 26));
+  }
+}
+
+TEST(FrameReader, ParsesFramesSentOneBytePerSend) {
+  auto [writer, reader_fd] = socket_pair();
+  Bytes bytes = request_frame(7, "test.Echo/Echo", "dribbled");
+  Bytes second = request_frame(8, "x/y", "");
+  bytes.insert(bytes.end(), second.begin(), second.end());
+  std::thread dribble([&, fd = writer.get()] {
+    for (std::byte b : bytes) {
+      ASSERT_EQ(::send(fd, &b, 1, 0), 1);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  FrameReader reader(reader_fd);
+  auto first = reader.next();
+  auto next = reader.next();
+  dribble.join();
+  expect_request(first, 7, "test.Echo/Echo", "dribbled");
+  expect_request(next, 8, "x/y", "");
+}
+
+TEST(FrameReader, RejectsOutOfRangeLengthBeforeReadingBody) {
+  for (uint32_t declared : {0u, 4u, kMaxFrameBody + 1, 0xFFFFFFFFu}) {
+    auto [writer, reader_fd] = socket_pair();
+    uint8_t header[4];
+    store_le<uint32_t>(header, declared);
+    ASSERT_TRUE(write_all(writer, header, 4).is_ok());
+    // The writer stays open and sends no body: a reader that tried to
+    // allocate or read one would time out with kUnavailable instead.
+    FrameReader reader(reader_fd);
+    auto frame = reader.next();
+    EXPECT_EQ(frame.status().code(), Code::kDataLoss) << "length " << declared;
+  }
+}
+
+TEST(FrameReader, PeerClosingMidFrameFails) {
+  Bytes frame = request_frame(1, "m", "payload bytes");
+  // Cut inside the length word, inside the header, and inside the body.
+  for (size_t cut : {size_t{2}, size_t{6}, frame.size() - 3}) {
+    auto [writer, reader_fd] = socket_pair();
+    ASSERT_TRUE(write_all(writer, frame.data(), cut).is_ok());
+    writer.reset();
+    FrameReader reader(reader_fd);
+    auto got = reader.next();
+    EXPECT_FALSE(got.is_ok()) << "cut at " << cut;
+  }
+  // A close between frames is the clean end of the connection.
+  auto [writer, reader_fd] = socket_pair();
+  ASSERT_TRUE(write_all(writer, frame.data(), frame.size()).is_ok());
+  writer.reset();
+  FrameReader reader(reader_fd);
+  auto whole = reader.next();
+  expect_request(whole, 1, "m", "payload bytes");
+  EXPECT_EQ(reader.next().status().code(), Code::kUnavailable);
+}
+
+TEST(FrameReader, MegabyteStreamChunkRoundTrips) {
+  auto [writer, reader_fd] = socket_pair();
+  std::mt19937_64 rng(kDefaultSeed);
+  const std::string chunk = random_bytes(rng, 1u << 20);
+  static_assert((1u << 20) > FrameReader::kBufferBytes);
+  // A small frame first, so the big one's header lands mid-buffer.
+  std::thread sender([&] {
+    Bytes head = request_frame(3, "m", "head");
+    EXPECT_TRUE(write_all(writer, head.data(), head.size()).is_ok());
+    EXPECT_TRUE(write_stream_chunk(writer, 9, as_bytes_view(chunk)).is_ok());
+    EXPECT_TRUE(write_stream_end(writer, 9).is_ok());
+  });
+  FrameReader reader(reader_fd);
+  auto head = reader.next();
+  auto big = reader.next();
+  auto end = reader.next();
+  sender.join();
+  expect_request(head, 3, "m", "head");
+  ASSERT_TRUE(big.is_ok()) << big.status().to_string();
+  ASSERT_EQ(big->type, FrameType::kStreamChunk);
+  EXPECT_EQ(big->stream.call_id, 9u);
+  EXPECT_TRUE(as_string_view(ByteSpan(big->stream.payload)) == chunk);
+  ASSERT_TRUE(end.is_ok()) << end.status().to_string();
+  EXPECT_EQ(end->type, FrameType::kStreamEnd);
+  EXPECT_EQ(end->stream.call_id, 9u);
 }
 
 }  // namespace

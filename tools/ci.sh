@@ -36,6 +36,9 @@
 #                     harnesses (fig8/fig9/fig10/fig11/fig12) additionally
 #                     run with --json; their outputs are combined into
 #                     <prefix>-plain/BENCH_6.json for the workflow artifact.
+#                     Then runs the repo benchmark's self-test
+#                     (python3 perfbench/tests/test_perfbench.py: smoke-
+#                     length perfbench runs, built into .bench_build/).
 #   perf            — the scheduled perf-trajectory lane: runs the figure
 #                     harnesses at FULL iteration counts (no smoke env) and
 #                     assembles the same BENCH_6.json document with real
@@ -57,7 +60,7 @@ while [ $# -gt 0 ]; do
     --pass) pass="$2"; shift 2 ;;
     --pass=*) pass="${1#--pass=}"; shift ;;
     -h|--help)
-      sed -n '2,31p' "$0"; exit 0 ;;
+      sed -n '2,52p' "$0"; exit 0 ;;
     -*)
       echo "ci: unknown flag $1 (see --help)" >&2; exit 64 ;;
     *)
@@ -180,6 +183,13 @@ pass_bench_smoke() {
   fi
   # Smoke-mode numbers: shape checks only, never diffed strictly.
   assemble_bench_json "$json_dir" "$prefix-plain/BENCH_6.json" || failed=1
+  # The repo benchmark at smoke length: every declared metric printed with
+  # its unit, a wrong reply caught, traced stage shares tiling e2e.
+  echo "=== smoke perfbench self-test" >&2
+  if ! python3 perfbench/tests/test_perfbench.py; then
+    echo "ci: bench smoke FAILED: perfbench self-test" >&2
+    failed=1
+  fi
   return "$failed"
 }
 
