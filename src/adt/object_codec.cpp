@@ -32,11 +32,7 @@ SerCounters& ser_counters() {
   return c;
 }
 
-struct RepHeader {
-  void* data;
-  uint32_t size;
-  uint32_t capacity;
-};
+using detail::RepHeader;
 
 uint32_t scalar_elem_size(FieldType t) noexcept {
   switch (t) {
@@ -414,9 +410,7 @@ StatusOr<LayoutBuilder> LayoutBuilder::mutable_message(uint32_t number) {
       reinterpret_cast<std::byte*>(load_le<uint64_t>(base_ + f->offset));
   if (existing != nullptr) {
     // NOTE: the stored pointer is receiver-space; undo the translation.
-    auto* local = reinterpret_cast<std::byte*>(
-        reinterpret_cast<intptr_t>(existing) - xlate_.delta);
-    return LayoutBuilder(adt_, f->child_class, local, arena_, xlate_);
+    return LayoutBuilder(adt_, f->child_class, local_addr(existing), arena_, xlate_);
   }
   auto child = create(adt_, f->child_class, arena_, xlate_);
   if (!child.is_ok()) return child.status();
@@ -426,36 +420,43 @@ StatusOr<LayoutBuilder> LayoutBuilder::mutable_message(uint32_t number) {
   return child;
 }
 
-Status LayoutBuilder::add_scalar(uint32_t number, uint64_t raw_value) {
+StatusOr<std::byte*> LayoutBuilder::append_slot(std::byte* header, uint32_t elem) {
+  RepHeader h;
+  std::memcpy(&h, header, sizeof(h));
+  std::byte* local = local_addr(h.data);
+  if (h.size == h.capacity) {
+    if (h.capacity > UINT32_MAX / 2) {
+      return Status(Code::kResourceExhausted, "repeated field too large");
+    }
+    const uint32_t new_cap = h.capacity ? h.capacity * 2 : 8;
+    const size_t old_bytes = static_cast<size_t>(h.capacity) * elem;
+    const size_t new_bytes = static_cast<size_t>(new_cap) * elem;
+    if (h.capacity == 0 || !arena_->try_extend(local, old_bytes, new_bytes)) {
+      auto* fresh = static_cast<std::byte*>(arena_->allocate(new_bytes, elem));
+      if (fresh == nullptr) return Status(Code::kResourceExhausted, "arena full");
+      if (h.size > 0) std::memcpy(fresh, local, static_cast<size_t>(h.size) * elem);
+      local = fresh;
+      h.data = reinterpret_cast<void*>(xlate_.translate_addr(fresh));
+    }
+    h.capacity = new_cap;
+  }
+  std::byte* slot = local + static_cast<size_t>(h.size) * elem;
+  ++h.size;
+  std::memcpy(header, &h, sizeof(h));
+  return slot;
+}
+
+Status LayoutBuilder::add_scalar_checked(uint32_t number, uint64_t raw_value) {
   DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, field(number, true));
   if (!proto::is_packable(f->type)) {
     return Status(Code::kInvalidArgument, "field is not a repeated scalar");
   }
-  auto& h = *reinterpret_cast<RepHeader*>(base_ + f->offset);
-  uint32_t elem = scalar_elem_size(f->type);
-  if (h.size == h.capacity) {
-    uint32_t new_cap = h.capacity ? h.capacity * 2 : 8;
-    void* fresh = arena_->allocate(static_cast<size_t>(new_cap) * elem, elem);
-    if (fresh == nullptr) return Status(Code::kResourceExhausted, "arena full");
-    if (h.size > 0) {
-      auto* local = reinterpret_cast<std::byte*>(
-          reinterpret_cast<intptr_t>(h.data) - xlate_.delta);
-      std::memcpy(fresh, local, static_cast<size_t>(h.size) * elem);
-    }
-    h.data = reinterpret_cast<void*>(xlate_.translate_addr(fresh));
-    h.capacity = new_cap;
-  }
-  auto* local = reinterpret_cast<std::byte*>(
-      reinterpret_cast<intptr_t>(h.data) - xlate_.delta);
-  std::byte* slot = local + static_cast<size_t>(h.size) * elem;
-  if (elem == 1) {
-    *reinterpret_cast<uint8_t*>(slot) = raw_value != 0 ? 1 : 0;
-  } else if (elem == 4) {
-    store_le(slot, static_cast<uint32_t>(raw_value));
-  } else {
-    store_le(slot, raw_value);
-  }
-  ++h.size;
+  const uint32_t elem = scalar_elem_size(f->type);
+  DPURPC_ASSIGN_OR_RETURN(std::byte* slot, append_slot(base_ + f->offset, elem));
+  store_scalar(slot, elem, raw_value);
+  hot_field_ = number;
+  hot_offset_ = f->offset;
+  hot_elem_ = elem;
   return Status::ok();
 }
 
@@ -465,27 +466,13 @@ Status LayoutBuilder::add_string(uint32_t number, std::string_view v) {
     return Status(Code::kInvalidArgument, "field is not repeated string/bytes");
   }
   uint32_t slot_size = adt_->fingerprint().string_size;
-  void* slot = arena_->allocate(slot_size, 8);
-  if (slot == nullptr) return Status(Code::kResourceExhausted, "arena full");
+  void* str = arena_->allocate(slot_size, 8);
+  if (str == nullptr) return Status(Code::kResourceExhausted, "arena full");
   auto flavor = static_cast<arena::StdLibFlavor>(adt_->fingerprint().string_flavor);
-  DPURPC_RETURN_IF_ERROR(arena::craft_string(slot, v, *arena_, xlate_, flavor));
-
-  auto& h = *reinterpret_cast<RepHeader*>(base_ + f->offset);
-  if (h.size == h.capacity) {
-    uint32_t new_cap = h.capacity ? h.capacity * 2 : 8;
-    void* fresh = arena_->allocate(new_cap * sizeof(void*), 8);
-    if (fresh == nullptr) return Status(Code::kResourceExhausted, "arena full");
-    if (h.size > 0) {
-      auto* local = reinterpret_cast<std::byte*>(
-          reinterpret_cast<intptr_t>(h.data) - xlate_.delta);
-      std::memcpy(fresh, local, h.size * sizeof(void*));
-    }
-    h.data = reinterpret_cast<void*>(xlate_.translate_addr(fresh));
-    h.capacity = new_cap;
-  }
-  auto** local = reinterpret_cast<void**>(reinterpret_cast<intptr_t>(h.data) -
-                                          xlate_.delta);
-  local[h.size++] = reinterpret_cast<void*>(xlate_.translate_addr(slot));
+  DPURPC_RETURN_IF_ERROR(arena::craft_string(str, v, *arena_, xlate_, flavor));
+  DPURPC_ASSIGN_OR_RETURN(std::byte* slot,
+                          append_slot(base_ + f->offset, sizeof(void*)));
+  store_le(slot, static_cast<uint64_t>(xlate_.translate_addr(str)));
   return Status::ok();
 }
 
@@ -496,23 +483,9 @@ StatusOr<LayoutBuilder> LayoutBuilder::add_message(uint32_t number) {
   }
   auto child = create(adt_, f->child_class, arena_, xlate_);
   if (!child.is_ok()) return child.status();
-
-  auto& h = *reinterpret_cast<RepHeader*>(base_ + f->offset);
-  if (h.size == h.capacity) {
-    uint32_t new_cap = h.capacity ? h.capacity * 2 : 8;
-    void* fresh = arena_->allocate(new_cap * sizeof(void*), 8);
-    if (fresh == nullptr) return Status(Code::kResourceExhausted, "arena full");
-    if (h.size > 0) {
-      auto* local = reinterpret_cast<std::byte*>(
-          reinterpret_cast<intptr_t>(h.data) - xlate_.delta);
-      std::memcpy(fresh, local, h.size * sizeof(void*));
-    }
-    h.data = reinterpret_cast<void*>(xlate_.translate_addr(fresh));
-    h.capacity = new_cap;
-  }
-  auto** local = reinterpret_cast<void**>(reinterpret_cast<intptr_t>(h.data) -
-                                          xlate_.delta);
-  local[h.size++] = reinterpret_cast<void*>(xlate_.translate_addr(child->object()));
+  DPURPC_ASSIGN_OR_RETURN(std::byte* slot,
+                          append_slot(base_ + f->offset, sizeof(void*)));
+  store_le(slot, static_cast<uint64_t>(xlate_.translate_addr(child->object())));
   return child;
 }
 

@@ -14,17 +14,32 @@
 //     builds an in-place response without any generated class.
 #pragma once
 
+#include <cstddef>
+#include <cstring>
+
 #include "adt/adt.hpp"
 #include "adt/arena_deserializer.hpp"
 #include "adt/codec_options.hpp"
 #include "arena/arena.hpp"
 #include "arena/string_craft.hpp"
 #include "common/bytes.hpp"
+#include "common/endian.hpp"
 #include "common/status.hpp"
 
 namespace dpurpc::adt {
 
 class LayoutBuilder;
+
+namespace detail {
+/// In-memory shape of a repeated field's storage: RepeatedField<T> /
+/// RepeatedPtrField<T> (pinned by the static_asserts in repeated_field.hpp).
+struct RepHeader {
+  void* data;
+  uint32_t size;
+  uint32_t capacity;
+};
+static_assert(sizeof(RepHeader) == 16);
+}  // namespace detail
 
 /// Typed handle to a serializable object: the class index bound to the
 /// instance base. The serializer entry points take this instead of a raw
@@ -105,8 +120,36 @@ class LayoutBuilder {
   /// Create (or return the existing) singular sub-message builder.
   StatusOr<LayoutBuilder> mutable_message(uint32_t field_number);
 
-  // Repeated adders.
-  Status add_scalar(uint32_t field_number, uint64_t raw_value);
+  // Repeated adders. A full array doubles, in place while it is the
+  // arena's most recent allocation (Arena::try_extend), so a field
+  // appended without interruption leaves no outgrown copies behind.
+
+  /// Append `raw_value` to a repeated scalar field. Inline fast path for
+  /// repeat appends: the checked path remembers the last field it accepted
+  /// (number, offset, element size), and a repeat call with room just
+  /// stores the value and bumps `size`. The array's data/size/capacity are
+  /// re-read from the object on every call, never cached: copies of this
+  /// handle, or other handles from mutable_message, may append to or regrow
+  /// the same array in between.
+  Status add_scalar(uint32_t field_number, uint64_t raw_value) {
+    if (field_number == hot_field_) {
+      // Field-wise loads, each the width of its last store, so the size
+      // written by the previous append forwards straight from the store
+      // buffer (a whole-header load would stall on it).
+      std::byte* header = base_ + hot_offset_;
+      const auto size = load_le<uint32_t>(header + offsetof(detail::RepHeader, size));
+      const auto cap = load_le<uint32_t>(header + offsetof(detail::RepHeader, capacity));
+      if (size < cap) {
+        const auto data = load_le<uint64_t>(header + offsetof(detail::RepHeader, data));
+        store_scalar(local_addr(reinterpret_cast<void*>(data)) +
+                         static_cast<size_t>(size) * hot_elem_,
+                     hot_elem_, raw_value);
+        store_le(header + offsetof(detail::RepHeader, size), size + 1);
+        return Status::ok();
+      }
+    }
+    return add_scalar_checked(field_number, raw_value);
+  }
   Status add_string(uint32_t field_number, std::string_view v);
   StatusOr<LayoutBuilder> add_message(uint32_t field_number);
 
@@ -120,12 +163,37 @@ class LayoutBuilder {
 
   StatusOr<const FieldEntry*> field(uint32_t number, bool repeated) const;
   void set_has_bit(const FieldEntry& f);
+  Status add_scalar_checked(uint32_t field_number, uint64_t raw_value);
+  /// Reserve the next element of the repeated field whose header is at
+  /// `header` (elements `elem` bytes wide), growing the array if full, and
+  /// return the element's local address. The one growth path of all three
+  /// repeated adders.
+  StatusOr<std::byte*> append_slot(std::byte* header, uint32_t elem);
+
+  /// Receiver-space pointer stored in the object -> local address.
+  std::byte* local_addr(const void* stored) const noexcept {
+    return reinterpret_cast<std::byte*>(reinterpret_cast<intptr_t>(stored) -
+                                        xlate_.delta);
+  }
+  static void store_scalar(std::byte* slot, uint32_t elem, uint64_t v) noexcept {
+    if (elem == 1) {
+      store_le(slot, static_cast<uint8_t>(v != 0 ? 1 : 0));
+    } else if (elem == 4) {
+      store_le(slot, static_cast<uint32_t>(v));
+    } else {
+      store_le(slot, v);
+    }
+  }
 
   const Adt* adt_;
   uint32_t class_index_;
   std::byte* base_;
   arena::Arena* arena_;
   arena::AddressTranslator xlate_;
+  // add_scalar's fast-path key; 0 is never a valid field number.
+  uint32_t hot_field_ = 0;
+  uint32_t hot_offset_ = 0;
+  uint32_t hot_elem_ = 0;
 };
 
 inline ObjectRef::ObjectRef(const LayoutBuilder& b) noexcept

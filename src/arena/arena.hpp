@@ -41,6 +41,22 @@ class Arena {
     return static_cast<T*>(allocate(sizeof(T) * count, alignof(T)));
   }
 
+  /// Realloc in place: grow the allocation [p, p+old_size) to `new_size`
+  /// bytes. Succeeds only when that allocation ends at the bump pointer
+  /// (it is the most recent one) and the grown size still fits; otherwise
+  /// returns false with used() unchanged, and the caller falls back to
+  /// allocate-and-copy. Shrinking or keeping the size is a no-op success:
+  /// the caller keeps the old bytes either way.
+  bool try_extend(void* p, size_t old_size, size_t new_size) noexcept {
+    if (new_size <= old_size) return true;
+    const uintptr_t start = reinterpret_cast<uintptr_t>(p);
+    const uintptr_t base = reinterpret_cast<uintptr_t>(base_);
+    if (start < base || start - base + old_size != used_) return false;
+    if (new_size - old_size > capacity_ - used_) return false;
+    used_ += new_size - old_size;
+    return true;
+  }
+
   /// Discard everything (objects are trivially abandoned, never destructed).
   void reset() noexcept { used_ = 0; }
 

@@ -63,6 +63,60 @@ TEST(Arena, AllocateArrayTyped) {
   for (int i = 0; i < 10; ++i) xs[i] = i;  // must be writable
 }
 
+TEST(Arena, TryExtendGrowsLastAllocationInPlace) {
+  OwningArena a(1024);
+  a.allocate(24, 8);
+  void* p = a.allocate(32, 4);
+  ASSERT_NE(p, nullptr);
+  const size_t before = a.used();
+  EXPECT_TRUE(a.try_extend(p, 32, 64));
+  EXPECT_EQ(a.used(), before + 32);
+  // Still the last allocation: it can keep growing, up to the last byte.
+  EXPECT_TRUE(a.try_extend(p, 64, 64 + a.remaining()));
+  EXPECT_EQ(a.used(), a.capacity());
+  // The next allocation starts after the extended one.
+  a.reset();
+  void* q = a.allocate(16, 8);
+  ASSERT_TRUE(a.try_extend(q, 16, 48));
+  EXPECT_EQ(static_cast<std::byte*>(a.allocate(8, 8)) - static_cast<std::byte*>(q), 48);
+}
+
+TEST(Arena, TryExtendRefusesNonLastAllocation) {
+  OwningArena a(1024);
+  void* p = a.allocate(32, 8);
+  a.allocate(8, 8);
+  const size_t before = a.used();
+  EXPECT_FALSE(a.try_extend(p, 32, 64));
+  EXPECT_EQ(a.used(), before);
+  // A prefix of the last allocation is not the last allocation either.
+  void* r = a.allocate(32, 8);
+  EXPECT_FALSE(a.try_extend(r, 16, 64));
+  EXPECT_EQ(a.used(), before + 32);
+  // Nor is memory outside the arena.
+  alignas(8) std::byte outside[64];
+  EXPECT_FALSE(a.try_extend(outside, 8, 16));
+}
+
+TEST(Arena, TryExtendPastCapacityLeavesUsedUnchanged) {
+  OwningArena a(128);
+  void* p = a.allocate(64, 8);
+  EXPECT_FALSE(a.try_extend(p, 64, 129));
+  EXPECT_FALSE(a.try_extend(p, 64, SIZE_MAX));
+  EXPECT_EQ(a.used(), 64u);
+  EXPECT_TRUE(a.try_extend(p, 64, 128));
+  EXPECT_EQ(a.used(), 128u);
+}
+
+TEST(Arena, TryExtendShrinkOrSameSizeIsNoOpSuccess) {
+  OwningArena a(256);
+  void* p = a.allocate(64, 8);
+  a.allocate(8, 8);  // p is no longer last; shrinking needs no room anyway
+  const size_t before = a.used();
+  EXPECT_TRUE(a.try_extend(p, 64, 64));
+  EXPECT_TRUE(a.try_extend(p, 64, 16));
+  EXPECT_EQ(a.used(), before);
+}
+
 // ------------------------------------------------------ string crafting
 
 TEST(StringLayout, HostIsLibstdcpp) {

@@ -51,6 +51,11 @@ message Node {
   repeated sint32 zz = 5;
   uint64 id = 6;
 }
+message Outer {
+  Node node = 1;
+  repeated bool flags = 2;
+  repeated fixed64 wide = 3;
+}
 )";
 
 class ObjectCodecFixture : public ::testing::Test {
@@ -61,13 +66,14 @@ class ObjectCodecFixture : public ::testing::Test {
     DescriptorAdtBuilder builder(StdLibFlavor::kLibstdcpp);
     leaf_ = *builder.add_message(pool_.find_message("oc.Leaf"));
     node_ = *builder.add_message(pool_.find_message("oc.Node"));
+    outer_ = *builder.add_message(pool_.find_message("oc.Outer"));
     adt_ = std::move(builder).take();
     adt_.set_fingerprint(AbiFingerprint::current(StdLibFlavor::kLibstdcpp));
   }
 
   proto::DescriptorPool pool_;
   Adt adt_;
-  uint32_t leaf_ = 0, node_ = 0;
+  uint32_t leaf_ = 0, node_ = 0, outer_ = 0;
 };
 
 DynamicMessage random_node(const proto::DescriptorPool& pool, std::mt19937_64& rng) {
@@ -248,23 +254,27 @@ TEST_F(ObjectCodecFixture, BuiltObjectSerializesLikeDynamicMessage) {
 TEST_F(ObjectCodecFixture, BuilderWithTranslationSurvivesBufferCopy) {
   // Build a response object in a "send buffer" with host-space pointers,
   // copy it (the RDMA write), serialize it on the receiver: the offloaded
-  // response-serialization path.
+  // response-serialization path. 4096 packed elements cross several
+  // in-place growths, each of which must keep the receiver-space pointer.
   constexpr size_t kBuf = 1 << 15;
+  constexpr uint64_t kPacked = 4096;
   std::vector<std::byte> sbuf(kBuf), rbuf(kBuf);
   AddressTranslator xlate{reinterpret_cast<intptr_t>(rbuf.data()) -
                           reinterpret_cast<intptr_t>(sbuf.data())};
+  ASSERT_NE(xlate.delta, 0);
   arena::Arena send_arena(sbuf.data(), kBuf);
 
   auto b = LayoutBuilder::create(&adt_, node_, &send_arena, xlate);
   ASSERT_TRUE(b.is_ok());
   ASSERT_TRUE(b->set_uint64(6, 777).is_ok());
-  for (uint64_t i = 0; i < 20; ++i) ASSERT_TRUE(b->add_scalar(3, i).is_ok());
+  for (uint64_t i = 0; i < kPacked; ++i) ASSERT_TRUE(b->add_scalar(3, i * 7).is_ok());
   ASSERT_TRUE(b->add_string(4, std::string(40, 'z')).is_ok());
   auto leaf = b->add_message(2);
   ASSERT_TRUE(leaf.is_ok());
   ASSERT_TRUE(leaf->set_int64(1, 5).is_ok());
 
   std::memcpy(rbuf.data(), sbuf.data(), kBuf);  // the RDMA write
+  std::memset(sbuf.data(), 0xee, kBuf);         // nothing may still point here
 
   auto* remote_obj =
       reinterpret_cast<std::byte*>(xlate.translate_addr(b->object()));
@@ -277,7 +287,11 @@ TEST_F(ObjectCodecFixture, BuilderWithTranslationSurvivesBufferCopy) {
   DynamicMessage out(node_desc);
   ASSERT_TRUE(WireCodec::parse(ByteSpan(wire), out).is_ok());
   EXPECT_EQ(out.get_uint64(node_desc->field_by_name("id")), 777u);
-  EXPECT_EQ(out.repeated_size(node_desc->field_by_name("packed")), 20u);
+  const auto* packed = node_desc->field_by_name("packed");
+  ASSERT_EQ(out.repeated_size(packed), kPacked);
+  for (uint64_t i = 0; i < kPacked; ++i) {
+    ASSERT_EQ(out.get_repeated_uint64(packed, i), i * 7) << "element " << i;
+  }
   EXPECT_EQ(out.get_repeated_string(node_desc->field_by_name("names"), 0),
             std::string(40, 'z'));
 }
@@ -287,8 +301,123 @@ TEST_F(ObjectCodecFixture, BuilderArenaExhaustion) {
   auto b = LayoutBuilder::create(&adt_, node_, &arena);
   ASSERT_TRUE(b.is_ok());
   Status st = Status::ok();
-  for (int i = 0; i < 1000 && st.is_ok(); ++i) st = b->add_scalar(3, i);
+  uint32_t added = 0;
+  for (int i = 0; i < 1000 && st.is_ok(); ++i) {
+    st = b->add_scalar(3, i);
+    if (st.is_ok()) ++added;
+  }
   EXPECT_EQ(st.code(), Code::kResourceExhausted);
+  // The failed growth left the field as it was.
+  LayoutView v = b->view();
+  ASSERT_EQ(v.repeated_size(3), added);
+  for (uint32_t i = 0; i < added; ++i) EXPECT_EQ(v.repeated_uint64(3, i), i);
+}
+
+// ------------------------------------------- LayoutBuilder growth paths
+
+TEST_F(ObjectCodecFixture, BuilderAppendGrowsInPlace) {
+  // One field appended without interruption grows in place: the arena
+  // holds the instance plus one live array, no outgrown copies.
+  OwningArena arena(1 << 16);
+  auto b = LayoutBuilder::create(&adt_, node_, &arena);
+  ASSERT_TRUE(b.is_ok());
+  for (uint64_t i = 0; i < 4096; ++i) ASSERT_TRUE(b->add_scalar(3, i).is_ok());
+  EXPECT_LE(arena.used(), adt_.class_at(node_).size + 4096u * 4 + 64);
+  LayoutView v = b->view();
+  ASSERT_EQ(v.repeated_size(3), 4096u);
+  for (uint32_t i = 0; i < 4096; ++i) ASSERT_EQ(v.repeated_uint64(3, i), i);
+}
+
+TEST_F(ObjectCodecFixture, BuilderInterleavedFieldsMatchOracle) {
+  // Alternating appends keep stealing "last allocation" from each other,
+  // so every growth takes the allocate-and-copy fallback. Every element
+  // width (1, 4, 8 bytes) and the pointer arrays ride along.
+  const auto* outer_desc = pool_.find_message("oc.Outer");
+  const auto* node_desc = pool_.find_message("oc.Node");
+  DynamicMessage want(outer_desc);
+  DynamicMessage* want_node = want.mutable_message(outer_desc->field_by_name("node"));
+
+  OwningArena arena(1 << 18);
+  auto b = LayoutBuilder::create(&adt_, outer_, &arena);
+  ASSERT_TRUE(b.is_ok());
+  auto node = b->mutable_message(1);
+  ASSERT_TRUE(node.is_ok());
+  std::mt19937_64 rng(kDefaultSeed);
+  for (uint32_t i = 0; i < 600; ++i) {
+    const uint64_t r = rng();
+    ASSERT_TRUE(node->add_scalar(3, static_cast<uint32_t>(r)).is_ok());
+    want_node->add_uint64(node_desc->field_by_name("packed"), static_cast<uint32_t>(r));
+    ASSERT_TRUE(node->add_scalar(5, static_cast<uint32_t>(r >> 32)).is_ok());
+    want_node->add_int64(node_desc->field_by_name("zz"),
+                         static_cast<int32_t>(static_cast<uint32_t>(r >> 32)));
+    ASSERT_TRUE(b->add_scalar(2, r & 1).is_ok());
+    want.add_uint64(outer_desc->field_by_name("flags"), r & 1);
+    ASSERT_TRUE(b->add_scalar(3, r).is_ok());
+    want.add_uint64(outer_desc->field_by_name("wide"), r);
+    if (i % 7 == 0) {
+      std::string name = "n" + std::to_string(i);
+      ASSERT_TRUE(node->add_string(4, name).is_ok());
+      want_node->add_string(node_desc->field_by_name("names"), name);
+    }
+    if (i % 11 == 0) {
+      auto item = node->add_message(2);
+      ASSERT_TRUE(item.is_ok());
+      ASSERT_TRUE(item->set_int64(1, i).is_ok());
+      want_node->add_message(node_desc->field_by_name("items"))
+          ->set_int64(pool_.find_message("oc.Leaf")->field_by_name("a"), i);
+    }
+  }
+  ObjectSerializer ser(&adt_);
+  Bytes got;
+  ASSERT_TRUE(ser.serialize(ObjectRef(*b), got).is_ok());
+  EXPECT_EQ(got, WireCodec::serialize(want));
+}
+
+TEST_F(ObjectCodecFixture, BuilderHandlesToOneObjectAgree) {
+  // Two handles to the same sub-object, each with its own fast-path
+  // state: interleaved appends (and the growths either one triggers)
+  // must land in one array.
+  OwningArena arena(1 << 16);
+  auto b = LayoutBuilder::create(&adt_, outer_, &arena);
+  ASSERT_TRUE(b.is_ok());
+  auto h1 = b->mutable_message(1);
+  auto h2 = b->mutable_message(1);
+  ASSERT_TRUE(h1.is_ok() && h2.is_ok());
+  ASSERT_EQ(h1->object(), h2->object());
+  for (uint64_t i = 0; i < 1000; ++i) {
+    LayoutBuilder& h = (i % 3 == 0) ? *h1 : *h2;
+    ASSERT_TRUE(h.add_scalar(3, i).is_ok());
+    if (i % 50 == 0) {
+      ASSERT_TRUE(h1->add_string(4, "x").is_ok());  // interrupt the run
+    }
+  }
+  for (const LayoutBuilder* h : {&*h1, &*h2}) {
+    LayoutView v = h->view();
+    ASSERT_EQ(v.repeated_size(3), 1000u);
+    for (uint32_t i = 0; i < 1000; ++i) ASSERT_EQ(v.repeated_uint64(3, i), i);
+  }
+  // A copy of a warmed handle appends to the same array too.
+  LayoutBuilder copy = *h1;
+  ASSERT_TRUE(copy.add_scalar(3, 1000).is_ok());
+  EXPECT_EQ(h2->view().repeated_size(3), 1001u);
+}
+
+TEST_F(ObjectCodecFixture, BuilderFastPathKeepsChecks) {
+  OwningArena arena(1 << 14);
+  auto b = LayoutBuilder::create(&adt_, node_, &arena);
+  ASSERT_TRUE(b.is_ok());
+  ASSERT_TRUE(b->add_scalar(3, 1).is_ok());
+  ASSERT_TRUE(b->add_scalar(3, 2).is_ok());  // fast path warm for field 3
+  EXPECT_EQ(b->add_scalar(6, 9).code(), Code::kInvalidArgument);   // not repeated
+  EXPECT_EQ(b->add_scalar(1, 9).code(), Code::kInvalidArgument);   // singular message
+  EXPECT_EQ(b->add_scalar(4, 9).code(), Code::kInvalidArgument);   // repeated string
+  EXPECT_EQ(b->add_scalar(2, 9).code(), Code::kInvalidArgument);   // repeated message
+  EXPECT_EQ(b->add_scalar(99, 9).code(), Code::kNotFound);
+  ASSERT_TRUE(b->add_scalar(3, 3).is_ok());
+  LayoutView v = b->view();
+  ASSERT_EQ(v.repeated_size(3), 3u);
+  EXPECT_EQ(v.repeated_uint64(3, 2), 3u);
+  EXPECT_FALSE(v.has(6));
 }
 
 }  // namespace

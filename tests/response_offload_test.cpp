@@ -25,9 +25,11 @@ package ro;
 message Query { string text = 1; uint32 top_k = 2; }
 message Hit { string doc = 1; double score = 2; }
 message Results { repeated Hit hits = 1; uint64 total = 2; string shard = 3; }
+message Values { repeated uint32 v = 1; uint64 total = 2; }
 
 service Search {
   rpc Find (Query) returns (Results);
+  rpc Fetch (Query) returns (Values);
 }
 )";
 
@@ -248,6 +250,55 @@ TEST_F(ResponseOffloadFixture, LaneSerializedBytesMatchWireCodecOracle) {
   EXPECT_EQ(stats.inline_serializes.load(), static_cast<uint64_t>(kCalls));
   EXPECT_EQ(stats.offloaded_responses.load(), 0u);
   EXPECT_EQ(proxy_->codec_pool().total_jobs(), 0u);
+}
+
+// A 16 KiB reply built with add_scalar in per-thread scratch: the host
+// ships only live bytes (the array grew in place, no outgrown copies), and
+// the pool-serialized reply is still the oracle's.
+TEST_F(ResponseOffloadFixture, ObjectReplyShipsOnlyLiveBytes) {
+  constexpr uint32_t kValues = 4096;
+  auto value_at = [](uint64_t seed, uint32_t i) {
+    return static_cast<uint32_t>((seed + i) * 2654435761u) >> (i % 29);
+  };
+  ASSERT_TRUE(host_
+                  ->register_unary_object(
+                      "ro.Search/Fetch",
+                      [value_at](const ServerContext&, const adt::LayoutView& req,
+                          adt::LayoutBuilder& resp) {
+                        const uint64_t seed = req.get_uint64(2);
+                        for (uint32_t i = 0; i < kValues; ++i) {
+                          DPURPC_RETURN_IF_ERROR(resp.add_scalar(1, value_at(seed, i)));
+                        }
+                        return resp.set_uint64(2, seed);
+                      })
+                  .is_ok());
+  start();
+  auto chan = xrpc::Channel::connect(port_);
+  ASSERT_TRUE(chan.is_ok());
+  const auto* query_desc = pool_.find_message("ro.Query");
+  const auto* values_desc = pool_.find_message("ro.Values");
+  proto::DynamicMessage q(query_desc);
+  q.set_uint64(query_desc->field_by_name("top_k"), 12345);
+  Bytes wire = proto::WireCodec::serialize(q);
+
+  // Everything the host transmits for this one call is the reply block:
+  // block and message headers plus the in-place object.
+  const uint64_t host_tx0 = host_conn_->tx_counters().bytes.load();
+  auto resp = (*chan)->call("ro.Search/Fetch", ByteSpan(wire));
+  ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();
+  const uint64_t host_tx = host_conn_->tx_counters().bytes.load() - host_tx0;
+  EXPECT_GE(host_tx, kValues * 4u);
+  EXPECT_LE(host_tx, kValues * 4u + 256);
+
+  proto::DynamicMessage want(values_desc);
+  for (uint32_t i = 0; i < kValues; ++i) {
+    want.add_uint64(values_desc->field_by_name("v"), value_at(12345, i));
+  }
+  want.set_uint64(values_desc->field_by_name("total"), 12345);
+  EXPECT_EQ(*resp, proto::WireCodec::serialize(want));
+  // Above the lane cutoff: the codec pool serialized it.
+  EXPECT_EQ(proxy_->stats().offloaded_responses.load(), 1u);
+  EXPECT_EQ(proxy_->stats().inline_serializes.load(), 0u);
 }
 
 TEST_F(ResponseOffloadFixture, ManyCallsStayConsistent) {
