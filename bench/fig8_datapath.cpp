@@ -237,24 +237,14 @@ RoundTripResult run_roundtrip(BenchEnv& env, const Workload& w, bool offload) {
     // block — memcpy plus the relocation walk, no codec at all.
     server.register_inplace_handler(
         kMethod,
-        [&](const rdmarpc::RequestView& req, arena::Arena& arena,
-            const arena::AddressTranslator& xlate, uint32_t* payload_size,
-            uint16_t* class_index) -> Status {
-          void* dst = arena.allocate(req.payload.size(), kPayloadAlign);
-          if (dst == nullptr) {
-            return Status(Code::kResourceExhausted, "response block full");
-          }
-          std::memcpy(dst, req.payload.data(), req.payload.size());
-          adt::ArenaDeserializer::SliceRelocation rel;
-          rel.old_begin = req.payload.data();
-          rel.old_end = req.payload.data() + req.payload.size();
-          rel.move_delta = static_cast<std::byte*>(dst) - req.payload.data();
-          rel.publish_delta = rel.move_delta + xlate.delta;
-          env.deserializer->relocate(w.class_index, static_cast<std::byte*>(dst),
-                                     rel);
-          *payload_size = static_cast<uint32_t>(arena.used());
-          *class_index = static_cast<uint16_t>(w.class_index);
-          return Status::ok();
+        [&](const rdmarpc::RequestView& req,
+            rdmarpc::RpcServer::Reserve& reserve) -> StatusOr<uint16_t> {
+          DPURPC_ASSIGN_OR_RETURN(
+              auto space, reserve(static_cast<uint32_t>(req.payload.size())));
+          env.deserializer->copy_relocated(w.class_index, req.payload.data(),
+                                           req.payload.size(), space.data,
+                                           space.xlate.delta);
+          return static_cast<uint16_t>(w.class_index);
         });
   } else {
     // Host runs the full codec: deserialize the request, serialize the

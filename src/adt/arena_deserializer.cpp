@@ -786,6 +786,18 @@ void ArenaDeserializer::relocate(uint32_t class_index, std::byte* base,
   }
 }
 
+void ArenaDeserializer::copy_relocated(uint32_t class_index, const std::byte* src,
+                                       size_t size, std::byte* dst, ptrdiff_t rebase,
+                                       size_t root_offset) const {
+  std::memcpy(dst, src, size);
+  SliceRelocation r;
+  r.old_begin = src;
+  r.old_end = src + size;
+  r.move_delta = dst - src;
+  r.publish_delta = r.move_delta + rebase;
+  relocate(class_index, dst + root_offset, r);
+}
+
 // ------------------------------------------------------------ LayoutView
 
 bool LayoutView::has(uint32_t field_number) const noexcept {

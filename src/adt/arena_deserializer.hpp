@@ -72,6 +72,15 @@ class ArenaDeserializer {
   void relocate(uint32_t class_index, std::byte* base,
                 const SliceRelocation& r) const;
 
+  /// Copy the object slice [src, src + size) to `dst` and relocate() the
+  /// copy: move_delta = dst - src, publish_delta = move_delta + `rebase`.
+  /// `rebase` is the connection translator's delta when the copy lands in
+  /// a send block, 0 to keep the copy fully local. The object of
+  /// `class_index` sits `root_offset` bytes into the slice.
+  void copy_relocated(uint32_t class_index, const std::byte* src, size_t size,
+                      std::byte* dst, ptrdiff_t rebase,
+                      size_t root_offset = 0) const;
+
  private:
   /// Per-message-tree tallies, flushed to metrics counters once per
   /// deserialize() call (keeps atomics off the per-field hot path).

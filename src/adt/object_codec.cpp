@@ -310,8 +310,7 @@ Status ObjectSerializer::serialize_impl(const ClassEntry& cls, const std::byte* 
 // ---------------------------------------------------------- LayoutBuilder
 
 StatusOr<LayoutBuilder> LayoutBuilder::create(const Adt* adt, uint32_t class_index,
-                                              arena::Arena* arena,
-                                              arena::AddressTranslator xlate) {
+                                              arena::Arena* arena) {
   if (class_index >= adt->class_count()) {
     return Status(Code::kNotFound, "unknown ADT class index");
   }
@@ -321,7 +320,7 @@ StatusOr<LayoutBuilder> LayoutBuilder::create(const Adt* adt, uint32_t class_ind
     return Status(Code::kResourceExhausted, "arena full allocating instance");
   }
   std::memcpy(base, cls.default_bytes.data(), cls.size);
-  return LayoutBuilder(adt, class_index, base, arena, xlate);
+  return LayoutBuilder(adt, class_index, base, arena);
 }
 
 StatusOr<const FieldEntry*> LayoutBuilder::field(uint32_t number, bool repeated) const {
@@ -396,7 +395,7 @@ Status LayoutBuilder::set_string(uint32_t number, std::string_view v) {
   }
   auto flavor = static_cast<arena::StdLibFlavor>(adt_->fingerprint().string_flavor);
   DPURPC_RETURN_IF_ERROR(
-      arena::craft_string(base_ + f->offset, v, *arena_, xlate_, flavor));
+      arena::craft_string(base_ + f->offset, v, *arena_, {}, flavor));
   set_has_bit(*f);
   return Status::ok();
 }
@@ -409,13 +408,11 @@ StatusOr<LayoutBuilder> LayoutBuilder::mutable_message(uint32_t number) {
   auto* existing =
       reinterpret_cast<std::byte*>(load_le<uint64_t>(base_ + f->offset));
   if (existing != nullptr) {
-    // NOTE: the stored pointer is receiver-space; undo the translation.
-    return LayoutBuilder(adt_, f->child_class, local_addr(existing), arena_, xlate_);
+    return LayoutBuilder(adt_, f->child_class, existing, arena_);
   }
-  auto child = create(adt_, f->child_class, arena_, xlate_);
+  auto child = create(adt_, f->child_class, arena_);
   if (!child.is_ok()) return child.status();
-  store_le(base_ + f->offset,
-           static_cast<uint64_t>(xlate_.translate_addr(child->object())));
+  store_le(base_ + f->offset, reinterpret_cast<uint64_t>(child->object()));
   set_has_bit(*f);
   return child;
 }
@@ -423,7 +420,7 @@ StatusOr<LayoutBuilder> LayoutBuilder::mutable_message(uint32_t number) {
 StatusOr<std::byte*> LayoutBuilder::append_slot(std::byte* header, uint32_t elem) {
   RepHeader h;
   std::memcpy(&h, header, sizeof(h));
-  std::byte* local = local_addr(h.data);
+  auto* local = static_cast<std::byte*>(h.data);
   if (h.size == h.capacity) {
     if (h.capacity > UINT32_MAX / 2) {
       return Status(Code::kResourceExhausted, "repeated field too large");
@@ -436,7 +433,7 @@ StatusOr<std::byte*> LayoutBuilder::append_slot(std::byte* header, uint32_t elem
       if (fresh == nullptr) return Status(Code::kResourceExhausted, "arena full");
       if (h.size > 0) std::memcpy(fresh, local, static_cast<size_t>(h.size) * elem);
       local = fresh;
-      h.data = reinterpret_cast<void*>(xlate_.translate_addr(fresh));
+      h.data = fresh;
     }
     h.capacity = new_cap;
   }
@@ -469,10 +466,10 @@ Status LayoutBuilder::add_string(uint32_t number, std::string_view v) {
   void* str = arena_->allocate(slot_size, 8);
   if (str == nullptr) return Status(Code::kResourceExhausted, "arena full");
   auto flavor = static_cast<arena::StdLibFlavor>(adt_->fingerprint().string_flavor);
-  DPURPC_RETURN_IF_ERROR(arena::craft_string(str, v, *arena_, xlate_, flavor));
+  DPURPC_RETURN_IF_ERROR(arena::craft_string(str, v, *arena_, {}, flavor));
   DPURPC_ASSIGN_OR_RETURN(std::byte* slot,
                           append_slot(base_ + f->offset, sizeof(void*)));
-  store_le(slot, static_cast<uint64_t>(xlate_.translate_addr(str)));
+  store_le(slot, reinterpret_cast<uint64_t>(str));
   return Status::ok();
 }
 
@@ -481,11 +478,11 @@ StatusOr<LayoutBuilder> LayoutBuilder::add_message(uint32_t number) {
   if (f->type != FieldType::kMessage) {
     return Status(Code::kInvalidArgument, "field is not a repeated message");
   }
-  auto child = create(adt_, f->child_class, arena_, xlate_);
+  auto child = create(adt_, f->child_class, arena_);
   if (!child.is_ok()) return child.status();
   DPURPC_ASSIGN_OR_RETURN(std::byte* slot,
                           append_slot(base_ + f->offset, sizeof(void*)));
-  store_le(slot, static_cast<uint64_t>(xlate_.translate_addr(child->object())));
+  store_le(slot, reinterpret_cast<uint64_t>(child->object()));
   return child;
 }
 

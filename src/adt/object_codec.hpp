@@ -100,10 +100,10 @@ class ObjectSerializer {
 class LayoutBuilder {
  public:
   /// Allocate and default-initialize an instance of `class_index` in
-  /// `arena`. Pointers are emitted through `xlate` (use {} for local use).
+  /// `arena`. Stored pointers are local; ArenaDeserializer::copy_relocated
+  /// moves the finished object into a send block and the peer's space.
   static StatusOr<LayoutBuilder> create(const Adt* adt, uint32_t class_index,
-                                        arena::Arena* arena,
-                                        arena::AddressTranslator xlate = {});
+                                        arena::Arena* arena);
 
   /// The constructed object's local address.
   void* object() const noexcept { return base_; }
@@ -141,7 +141,7 @@ class LayoutBuilder {
       const auto cap = load_le<uint32_t>(header + offsetof(detail::RepHeader, capacity));
       if (size < cap) {
         const auto data = load_le<uint64_t>(header + offsetof(detail::RepHeader, data));
-        store_scalar(local_addr(reinterpret_cast<void*>(data)) +
+        store_scalar(reinterpret_cast<std::byte*>(data) +
                          static_cast<size_t>(size) * hot_elem_,
                      hot_elem_, raw_value);
         store_le(header + offsetof(detail::RepHeader, size), size + 1);
@@ -158,8 +158,8 @@ class LayoutBuilder {
 
  private:
   LayoutBuilder(const Adt* adt, uint32_t class_index, std::byte* base,
-                arena::Arena* arena, arena::AddressTranslator xlate)
-      : adt_(adt), class_index_(class_index), base_(base), arena_(arena), xlate_(xlate) {}
+                arena::Arena* arena)
+      : adt_(adt), class_index_(class_index), base_(base), arena_(arena) {}
 
   StatusOr<const FieldEntry*> field(uint32_t number, bool repeated) const;
   void set_has_bit(const FieldEntry& f);
@@ -170,11 +170,6 @@ class LayoutBuilder {
   /// repeated adders.
   StatusOr<std::byte*> append_slot(std::byte* header, uint32_t elem);
 
-  /// Receiver-space pointer stored in the object -> local address.
-  std::byte* local_addr(const void* stored) const noexcept {
-    return reinterpret_cast<std::byte*>(reinterpret_cast<intptr_t>(stored) -
-                                        xlate_.delta);
-  }
   static void store_scalar(std::byte* slot, uint32_t elem, uint64_t v) noexcept {
     if (elem == 1) {
       store_le(slot, static_cast<uint8_t>(v != 0 ? 1 : 0));
@@ -189,7 +184,6 @@ class LayoutBuilder {
   uint32_t class_index_;
   std::byte* base_;
   arena::Arena* arena_;
-  arena::AddressTranslator xlate_;
   // add_scalar's fast-path key; 0 is never a valid field number.
   uint32_t hot_field_ = 0;
   uint32_t hot_offset_ = 0;

@@ -135,15 +135,9 @@ size_t CodecPool::lane_queue_depth(size_t lane) const noexcept {
   return lane < lanes_.size() ? lanes_[lane]->submit.approx_size() : 0;
 }
 
-bool CodecPool::any_pending(size_t w) const noexcept {
-  if (options_.steal) {
-    for (const auto& lane : lanes_) {
-      if (lane->submit.approx_size() > 0) return true;
-    }
-    return false;
-  }
-  for (size_t lane = w; lane < lanes_.size(); lane += workers_.size()) {
-    if (lanes_[lane]->submit.approx_size() > 0) return true;
+bool CodecPool::any_pending() const noexcept {
+  for (const auto& lane : lanes_) {
+    if (lane->submit.approx_size() > 0) return true;
   }
   return false;
 }
@@ -164,7 +158,7 @@ DPURPC_HOT_PATH void CodecPool::worker_loop(size_t w) {
     if (me.depth_gauge != nullptr) me.depth_gauge->set(static_cast<double>(depth));
     // Nothing at home: steal from a sibling's backlog (gated pop; a miss
     // on the gate just means the home worker got there first).
-    if (!did && options_.steal) {
+    if (!did) {
       for (size_t lane = 0; lane < lanes_.size() && !did; ++lane) {
         if (lane % nworkers == w) continue;
         did = run_one(w, lane, /*stolen=*/true);
@@ -188,7 +182,7 @@ DPURPC_HOT_PATH void CodecPool::worker_loop(size_t w) {
       // dpulint: allow(hot-path): cold spill — condvar parking after 64
       // idle rounds, off the submit path (DESIGN.md §3.14).
       lockdep::UniqueLock lk(wake_mu_);
-      if (!any_pending(w) && !stopping_.load(std::memory_order_acquire)) {
+      if (!any_pending() && !stopping_.load(std::memory_order_acquire)) {
         // dpulint: allow(hot-path): parked-worker wait; bounded by the 1ms
         // backstop timeout.
         wake_cv_.wait_for(lk, std::chrono::milliseconds(1));

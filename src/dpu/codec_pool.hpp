@@ -158,8 +158,6 @@ class CodecPool {
     /// wire-size-derived slice and retries once at this cap on arena
     /// exhaustion. Matches rdmarpc::kMaxPayloadSize by default.
     size_t max_slice_bytes = 64 * 1024;
-    /// Let idle workers pop from foreign lanes' submit rings.
-    bool steal = true;
     /// Calibrated slowdown applied to modeled (scaled) busy time, per
     /// direction: decode jobs scale by `workload`, encode jobs by
     /// `encode_workload` (serialize leans on the same varint/byte-copy
@@ -250,7 +248,7 @@ class CodecPool {
   bool run_one(size_t w, size_t lane, bool stolen);
   CodecResult decode(size_t w, CodecJob&& job);
   CodecResult encode(size_t w, CodecJob&& job);
-  bool any_pending(size_t w) const noexcept;
+  bool any_pending() const noexcept;
 
   const adt::ArenaDeserializer* deserializer_;
   const adt::ObjectSerializer* serializer_;

@@ -673,16 +673,10 @@ bool DpuProxy::submit_encode(
   if (!slice) return false;
   // The response tree occupies [payload_addr, payload_addr + size) with
   // its root at offset 0 (rdmarpc's in-place commit guarantees it), and
-  // its pointers are receiver-local. Copy + rebase with publish delta ==
-  // move delta makes the copy fully local to the slice — serializable
-  // from any thread, any time.
-  std::memcpy(slice.data(), resp.payload_addr, bytes);
-  adt::ArenaDeserializer::SliceRelocation rel;
-  rel.old_begin = resp.payload_addr;
-  rel.old_end = resp.payload_addr + bytes;
-  rel.move_delta = slice.data() - resp.payload_addr;
-  rel.publish_delta = rel.move_delta;
-  deserializer_.relocate(resp.header.aux, slice.data(), rel);
+  // its pointers are receiver-local. Copying with rebase 0 makes the copy
+  // fully local to the slice — serializable from any thread, any time.
+  deserializer_.copy_relocated(resp.header.aux, resp.payload_addr, bytes,
+                               slice.data(), /*rebase=*/0);
 
   dpu::CodecJob job;
   job.kind = dpu::JobKind::kEncode;
@@ -760,15 +754,9 @@ Status DpuProxy::forward_decoded(Lane& lane, dpu::CodecResult result) {
           if (dst == nullptr) {
             return Status(Code::kResourceExhausted, "block cannot hold decoded object");
           }
-          std::memcpy(dst, result.slice.data(), result.used);
-          adt::ArenaDeserializer::SliceRelocation rel;
-          rel.old_begin = result.slice.data();
-          rel.old_end = result.slice.data() + result.used;
-          rel.move_delta = static_cast<std::byte*>(dst) - result.slice.data();
-          rel.publish_delta = rel.move_delta + xlate.delta;
-          deserializer_.relocate(entry->input_class,
-                                 static_cast<std::byte*>(dst) + result.obj_offset,
-                                 rel);
+          deserializer_.copy_relocated(entry->input_class, result.slice.data(),
+                                       result.used, static_cast<std::byte*>(dst),
+                                       xlate.delta, result.obj_offset);
           return static_cast<uint32_t>(arena.used());
         },
         [this, lane = &lane, respond, tctx](const Status& rpc_result,

@@ -21,12 +21,9 @@ class HostEnginePool {
   /// constructed with `poller().shared_channel()` so one thread can sleep
   /// on all of them; use several ServerPollers to shard across threads.
   HostEnginePool(const std::vector<rdmarpc::Connection*>& connections,
-                 const OffloadManifest* manifest, const proto::DescriptorPool* pool,
-                 adt::CodecOptions options = {},
-                 bool offload_object_responses = true) {
+                 const OffloadManifest* manifest, const proto::DescriptorPool* pool) {
     for (auto* conn : connections) {
-      engines_.push_back(std::make_unique<HostEngine>(
-          conn, manifest, pool, options, offload_object_responses));
+      engines_.push_back(std::make_unique<HostEngine>(conn, manifest, pool));
       poller_.add(&engines_.back()->rpc_server());
     }
   }
@@ -36,14 +33,6 @@ class HostEnginePool {
   Status register_unary(std::string_view full_name, HostEngine::Method method) {
     for (auto& e : engines_) {
       DPURPC_RETURN_IF_ERROR(e->register_unary(full_name, method));
-    }
-    return Status::ok();
-  }
-
-  Status register_unary_inplace(std::string_view full_name,
-                                HostEngine::InPlaceMethod method) {
-    for (auto& e : engines_) {
-      DPURPC_RETURN_IF_ERROR(e->register_unary_inplace(full_name, method));
     }
     return Status::ok();
   }

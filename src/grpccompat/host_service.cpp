@@ -1,14 +1,13 @@
 #include "grpccompat/host_service.hpp"
 
-#include <cstring>
-
 #include "grpccompat/stream_wire.hpp"
 
 namespace dpurpc::grpccompat {
 
 namespace {
-/// Scratch-arena capacity for register_unary_object responses; matches
-/// the largest payload the RPC over RDMA layer will carry anyway.
+/// Scratch-arena capacity for register_unary_object responses: well above
+/// the 64 KiB payload limit, so an oversize reply is refused by the exact
+/// reservation (RESOURCE_EXHAUSTED), not cut short mid-build.
 constexpr size_t kObjectScratchCapacity = 1u << 20;
 
 /// Per-thread build scratch: object handlers may run under any thread
@@ -22,14 +21,8 @@ arena::OwningArena& object_scratch() {
 }  // namespace
 
 HostEngine::HostEngine(rdmarpc::Connection* conn, const OffloadManifest* manifest,
-                       const proto::DescriptorPool* pool, adt::CodecOptions options,
-                       bool offload_object_responses)
-    : server_(conn),
-      manifest_(manifest),
-      pool_(pool),
-      serializer_(&manifest->adt(), options),
-      deserializer_(&manifest->adt(), options),
-      offload_object_responses_(offload_object_responses) {}
+                       const proto::DescriptorPool* pool)
+    : server_(conn), manifest_(manifest), pool_(pool), deserializer_(&manifest->adt()) {}
 
 Status HostEngine::register_unary(std::string_view full_name, Method method) {
   const MethodEntry* entry = manifest_->find_by_name(full_name);
@@ -67,39 +60,6 @@ Status HostEngine::register_unary(std::string_view full_name, Method method) {
   return Status::ok();
 }
 
-Status HostEngine::register_unary_inplace(std::string_view full_name,
-                                           InPlaceMethod method) {
-  const MethodEntry* entry = manifest_->find_by_name(full_name);
-  if (entry == nullptr) {
-    return Status(Code::kNotFound,
-                  "method not in offload manifest: " + std::string(full_name));
-  }
-  uint32_t input_class = entry->input_class;
-  uint32_t output_class = entry->output_class;
-  const OffloadManifest* manifest = manifest_;
-
-  server_.register_inplace_handler(
-      entry->method_id,
-      [method = std::move(method), manifest, input_class, output_class](
-          const rdmarpc::RequestView& req, arena::Arena& response_arena,
-          const arena::AddressTranslator& xlate, uint32_t* payload_size,
-          uint16_t* class_index) -> Status {
-        if (req.object == nullptr || req.class_index != input_class) {
-          return Status(Code::kInvalidArgument, "bad in-place request");
-        }
-        adt::LayoutView request(&manifest->adt(), input_class, req.object);
-        auto response = adt::LayoutBuilder::create(&manifest->adt(), output_class,
-                                                   &response_arena, xlate);
-        if (!response.is_ok()) return response.status();
-        ServerContext ctx;
-        DPURPC_RETURN_IF_ERROR(method(ctx, request, *response));
-        *payload_size = static_cast<uint32_t>(response_arena.used());
-        *class_index = static_cast<uint16_t>(output_class);
-        return Status::ok();
-      });
-  return Status::ok();
-}
-
 Status HostEngine::register_unary_object(std::string_view full_name,
                                           InPlaceMethod method) {
   const MethodEntry* entry = manifest_->find_by_name(full_name);
@@ -110,40 +70,16 @@ Status HostEngine::register_unary_object(std::string_view full_name,
   uint32_t input_class = entry->input_class;
   uint32_t output_class = entry->output_class;
 
-  if (!offload_object_responses_) {
-    // Host-serialize baseline: build in per-thread scratch, run the
-    // compiled serialize plan here, reply with bytes.
-    server_.register_handler(
-        entry->method_id,
-        [this, method = std::move(method), input_class, output_class](
-            const rdmarpc::RequestView& req, Bytes& response_bytes) -> Status {
-          if (req.object == nullptr || req.class_index != input_class) {
-            return Status(Code::kInvalidArgument, "bad in-place request");
-          }
-          adt::LayoutView request(&manifest_->adt(), input_class, req.object);
-          arena::OwningArena& scratch = object_scratch();
-          scratch.reset();
-          auto response = adt::LayoutBuilder::create(&manifest_->adt(),
-                                                     output_class, &scratch);
-          if (!response.is_ok()) return response.status();
-          ServerContext ctx;
-          DPURPC_RETURN_IF_ERROR(method(ctx, request, *response));
-          // Host-side planned serialization: the builder *is* the object.
-          return serializer_.serialize(adt::ObjectRef(*response), response_bytes);
-        });
-    return Status::ok();
-  }
-
-  // Offloaded (default): the handler builds into per-thread scratch with
-  // local pointers; the engine then copies the finished tree into the
-  // send block, rebasing every pointer into the peer's address space, and
-  // the DPU's codec pool serializes it. The host touches no wire bytes.
+  // The handler builds into per-thread scratch with local pointers, once;
+  // the engine then reserves exactly the finished object's size in the
+  // send block, copies the tree in, rebasing every pointer into the peer's
+  // address space, and the DPU's codec pool serializes it. The host
+  // touches no wire bytes.
   server_.register_inplace_handler(
       entry->method_id,
       [this, method = std::move(method), input_class, output_class](
-          const rdmarpc::RequestView& req, arena::Arena& response_arena,
-          const arena::AddressTranslator& xlate, uint32_t* payload_size,
-          uint16_t* class_index) -> Status {
+          const rdmarpc::RequestView& req,
+          rdmarpc::RpcServer::Reserve& reserve) -> StatusOr<uint16_t> {
         if (req.object == nullptr || req.class_index != input_class) {
           return Status(Code::kInvalidArgument, "bad in-place request");
         }
@@ -162,21 +98,11 @@ Status HostEngine::register_unary_object(std::string_view full_name,
           return Status(Code::kInternal, "response root not at scratch base");
         }
         const size_t used = scratch.used();
-        void* dst = response_arena.allocate(used, kPayloadAlign);
-        if (dst == nullptr) {
-          return Status(Code::kResourceExhausted,
-                        "send block cannot hold response object");
-        }
-        std::memcpy(dst, scratch.base(), used);
-        adt::ArenaDeserializer::SliceRelocation rel;
-        rel.old_begin = scratch.base();
-        rel.old_end = scratch.base() + used;
-        rel.move_delta = static_cast<std::byte*>(dst) - scratch.base();
-        rel.publish_delta = rel.move_delta + xlate.delta;
-        deserializer_.relocate(output_class, static_cast<std::byte*>(dst), rel);
-        *payload_size = static_cast<uint32_t>(response_arena.used());
-        *class_index = static_cast<uint16_t>(output_class);
-        return Status::ok();
+        // used <= kObjectScratchCapacity, so the narrowing is exact.
+        DPURPC_ASSIGN_OR_RETURN(auto space, reserve(static_cast<uint32_t>(used)));
+        deserializer_.copy_relocated(output_class, scratch.base(), used,
+                                     space.data, space.xlate.delta);
+        return static_cast<uint16_t>(output_class);
       });
   return Status::ok();
 }

@@ -11,14 +11,10 @@
 //     serializes it with the reference WireCodec (the paper's baseline:
 //     response serialization not offloaded, §III.A).
 //   * register_unary_object    — handler builds the response *object* with
-//     a LayoutBuilder in per-thread scratch; by default the object is
-//     copied into the RDMA send block and the *DPU* serializes it (host
-//     codec cost ≈ 0 in both directions). With offloading disabled the
-//     host serializes through the compiled plan instead — the middle rung
-//     fig10_roundtrip measures against.
-//   * register_unary_inplace   — handler builds the response object
-//     directly into the RDMA send block; the DPU serializes it (§III.A
-//     extension).
+//     a LayoutBuilder in per-thread scratch, once; the engine reserves
+//     exactly its size in the RDMA send block, copies it in rebased into
+//     the DPU's address space, and the *DPU* serializes it (§III.A
+//     extension; host codec cost ≈ 0 in both directions).
 //   * register_stream          — bulk-transfer requests: the proxy ships
 //     the stream as prefixed chunks (stream_wire.hpp), each decoded on
 //     the DPU pool first; the handler sees raw chunk bytes in order and
@@ -54,35 +50,24 @@ class HostEngine {
                                       proto::DynamicMessage& response)>;
 
   /// `pool` must contain the response message types (same pool the
-  /// manifest was built from). `options` governs the engine's own codec
-  /// work (the plan serializer and the relocation walk behind
-  /// register_unary_object). `offload_object_responses` picks that
-  /// method's response path: true (default) ships the object to the DPU
-  /// for serialization; false serializes on the host — the comparison
-  /// baseline for fig10_roundtrip and the codec-parity tests.
+  /// manifest was built from).
   HostEngine(rdmarpc::Connection* conn, const OffloadManifest* manifest,
-             const proto::DescriptorPool* pool, adt::CodecOptions options = {},
-             bool offload_object_responses = true);
+             const proto::DescriptorPool* pool);
 
   /// Bind business logic to "pkg.Service/Method". NOT_FOUND if the
   /// manifest does not know the method.
   Status register_unary(std::string_view full_name, Method method);
 
   /// Offloaded-response variant (§III.A extension): the handler builds the
-  /// response *object* through a LayoutBuilder; the host never serializes
-  /// it — the DPU does, with the ADT-driven ObjectSerializer.
+  /// response *object* through a LayoutBuilder over per-thread scratch —
+  /// it never sees block-arena backpressure, runs once per call, and the
+  /// engine is safe to drive from multiple threads or engines. The host
+  /// never serializes the object; the DPU does, with the ADT-driven
+  /// ObjectSerializer. A finished object larger than the 64 KiB payload
+  /// limit fails the call with RESOURCE_EXHAUSTED.
   using InPlaceMethod = std::function<Status(const ServerContext&,
                                              const adt::LayoutView& request,
                                              adt::LayoutBuilder& response)>;
-  Status register_unary_inplace(std::string_view full_name, InPlaceMethod method);
-
-  /// Typed-object variant: same handler shape as register_unary_inplace,
-  /// but the response object is built into per-thread scratch first —
-  /// handlers never see block-arena backpressure, and the engine is safe
-  /// to drive from multiple threads or engines. The finished object is
-  /// then either copied+relocated into the send block for DPU-side
-  /// serialization (default) or serialized on the host through the
-  /// compiled plan (offload_object_responses = false).
   Status register_unary_object(std::string_view full_name, InPlaceMethod method);
 
   /// Streaming bulk-transfer handler. Invoked once per chunk with the raw
@@ -109,10 +94,8 @@ class HostEngine {
   rdmarpc::RpcServer server_;
   const OffloadManifest* manifest_;
   const proto::DescriptorPool* pool_;
-  adt::ObjectSerializer serializer_;
   /// Relocation walks for register_unary_object's copy-into-block path.
   adt::ArenaDeserializer deserializer_;
-  bool offload_object_responses_;
   /// Per-stream sequencing state for register_stream, keyed by the
   /// proxy-assigned stream id. Touched only from handler context (the
   /// thread pumping this engine's event loop). Entries leave on the end

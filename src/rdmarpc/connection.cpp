@@ -81,8 +81,8 @@ StatusOr<std::byte*> Connection::begin_message(uint32_t payload_hint) {
       // flush() has nothing to send for an empty writer, so it would leave
       // the undersized block in place and the hint would be ignored —
       // a message larger than the open block could then never be started
-      // (the in-place response path retries with a bigger hint after the
-      // handler's arena runs dry). Replace the block instead.
+      // (RpcClient::call_inplace retries with a bigger hint after the
+      // builder's arena runs dry). Replace the block instead.
       sbuf_alloc_.free(open_block_offset_);
       writer_.reset();
     } else {

@@ -54,14 +54,6 @@ void RpcServer::background_worker() {
 }
 
 RpcServer::RpcServer(Connection* conn) : conn_(conn) {
-  if (conn_->config().registry != nullptr) {
-    hint_retries_ = &conn_->config()
-                         .registry
-                         ->counter_family(
-                             "dpurpc_block_hint_retries_total",
-                             "write_response_inplace block-hint ladder retries")
-                         .counter({{"role", "server"}});
-  }
   // Every flushed response block contributes one FIFO entry of answered
   // request IDs; the entry is retired — and its IDs released — when the
   // client's piggybacked ack counter covers it. This mirrors the client's
@@ -93,7 +85,7 @@ void RpcServer::register_handler(uint16_t method_id, Handler handler) {
 }
 
 void RpcServer::register_inplace_handler(uint16_t method_id, InPlaceHandler handler) {
-  inplace_handlers_[method_id] = InPlaceMethod{std::move(handler)};
+  inplace_handlers_[method_id] = std::move(handler);
 }
 
 // Credit/buffer backpressure relief shared by both response paths: wait
@@ -106,73 +98,58 @@ Status RpcServer::pump_for_space() {
   return Status::ok();
 }
 
-Status RpcServer::write_response_inplace(uint16_t request_id, const RequestView& req,
-                                         InPlaceMethod& method) {
-  trace::TraceContext tctx = trace::enabled() ? req.trace : trace::TraceContext();
-  uint32_t extra = tctx.active() ? kWireTraceSize : 0;
-  // Replies of one method tend to be alike: start where the previous one
-  // ended up, so a method with large replies does not re-run its handler
-  // up the whole ladder on every call.
-  uint32_t hint = method.hint;
+StatusOr<RpcServer::ResponseSpace> RpcServer::Reserve::operator()(uint32_t size) {
+  if (opened_) {
+    return Status(Code::kFailedPrecondition, "response space already reserved");
+  }
+  if (size > kMaxPayloadSize - extra_) {
+    return Status(Code::kResourceExhausted, "response object exceeds the payload limit");
+  }
+  Connection& conn = *server_->conn_;
   for (int attempt = 0; attempt < 1000; ++attempt) {
-    auto dst = conn_->begin_message(hint);
-    if (!dst.is_ok()) {
-      if (dst.status().code() != Code::kUnavailable &&
-          dst.status().code() != Code::kResourceExhausted) {
-        return dst.status();
+    auto dst = conn.begin_message(size + extra_);
+    if (dst.is_ok()) {
+      opened_ = true;
+      reserved_ = size + extra_;
+      if (extra_ != 0) {
+        // Prefix first, so the object root lands at the client's stripped
+        // payload_addr.
+        WireTrace wt{tctx_.trace_id, tctx_.parent_span_id, 0};
+        std::memcpy(*dst, &wt, sizeof(wt));
       }
-      DPURPC_RETURN_IF_ERROR(pump_for_space());
-      continue;
+      return ResponseSpace{*dst + extra_, conn.translator()};
     }
-    arena::Arena arena = conn_->payload_arena();
-    if (extra != 0) {
-      // Prefix first so the handler's arena.used() covers it and the
-      // response object root lands at the client's stripped payload_addr.
-      void* prefix = arena.allocate(kWireTraceSize, kPayloadAlign);
-      if (prefix == nullptr) {
-        conn_->abort_message();
-        if (hint < kMaxPayloadSize) {
-          hint = kMaxPayloadSize;
-          note_hint_retry();
-          continue;
-        }
-        return write_response(request_id,
-                              Status(Code::kResourceExhausted, "no arena space"),
-                              {}, tctx);
-      }
-      WireTrace wt{tctx.trace_id, tctx.parent_span_id, 0};
-      std::memcpy(prefix, &wt, sizeof(wt));
+    if (dst.status().code() != Code::kUnavailable &&
+        dst.status().code() != Code::kResourceExhausted) {
+      return dst.status();
     }
-    uint32_t payload_size = 0;
-    uint16_t class_index = 0;
-    Status result =
-        method.handler(req, arena, conn_->translator(), &payload_size, &class_index);
-    if (result.is_ok()) {
-      uint16_t flags = kFlagInPlaceObject;
-      if (extra != 0) flags |= kFlagTraced;
-      DPURPC_RETURN_IF_ERROR(conn_->commit_message(payload_size, request_id,
-                                                   flags, class_index));
-      method.hint = std::max(payload_size, kFirstInPlaceHint);
-      open_block_ids_.push_back(request_id);
-      if (tctx.active()) {
-        open_block_traced_.push_back({tctx, WallTimer::now()});
-      }
-      return Status::ok();
-    }
-    conn_->abort_message();
-    if (result.code() == Code::kResourceExhausted && hint < kMaxPayloadSize) {
-      // The handler's arena ran dry: retry in a bigger block. Doubling
-      // (instead of jumping straight to kMaxPayloadSize) keeps oversize
-      // single-message blocks right-sized — a 64 KiB block per response
-      // would exhaust the send buffer under a burst of large replies.
-      hint = std::min(std::max(hint * 2, 4096u), kMaxPayloadSize);
-      note_hint_retry();
-      continue;
-    }
-    // Handler error: fall back to an error response.
-    return write_response(request_id, result, {}, tctx);
+    DPURPC_RETURN_IF_ERROR(server_->pump_for_space());
   }
   return Status(Code::kUnavailable, "client never acknowledged response blocks");
+}
+
+Status RpcServer::write_response_inplace(uint16_t request_id, const RequestView& req,
+                                         const InPlaceHandler& handler) {
+  trace::TraceContext tctx = trace::enabled() ? req.trace : trace::TraceContext();
+  Reserve reserve(this, tctx);
+  StatusOr<uint16_t> class_index = handler(req, reserve);
+  if (class_index.is_ok() && !reserve.opened_) {
+    class_index = Status(Code::kInternal, "in-place handler reserved no response");
+  }
+  if (!class_index.is_ok()) {
+    if (reserve.opened_) conn_->abort_message();
+    // Handler error: fall back to an error response.
+    return write_response(request_id, class_index.status(), {}, tctx);
+  }
+  uint16_t flags = kFlagInPlaceObject;
+  if (reserve.extra_ != 0) flags |= kFlagTraced;
+  DPURPC_RETURN_IF_ERROR(
+      conn_->commit_message(reserve.reserved_, request_id, flags, *class_index));
+  open_block_ids_.push_back(request_id);
+  if (tctx.active()) {
+    open_block_traced_.push_back({tctx, WallTimer::now()});
+  }
+  return Status::ok();
 }
 
 Status RpcServer::write_response(uint16_t request_id, const Status& handler_status,
@@ -322,9 +299,9 @@ Status RpcServer::process_request_block(const Connection::ReceivedBlock& rb) {
 Status RpcServer::dispatch_foreground(const RequestView& req, uint64_t recv_ns) {
   if (auto ip = inplace_handlers_.find(req.method_id);
       ip != inplace_handlers_.end()) {
-    // Offloaded-response path: the handler builds the object in place.
-    // Dispatch and serialize are one fused act here (the handler *is*
-    // the serializer), recorded as host dispatch.
+    // Offloaded-response path: the handler builds the object and copies
+    // it into the block. Dispatch and serialize are one fused act here
+    // (the handler *is* the serializer), recorded as host dispatch.
     DPURPC_RETURN_IF_ERROR(write_response_inplace(req.request_id, req, ip->second));
     if (req.trace.active()) {
       trace::Tracer::instance().record(trace::Stage::kHostDispatch,

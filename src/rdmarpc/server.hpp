@@ -26,7 +26,6 @@
 
 #include "common/bounded_queue.hpp"
 #include "common/relaxed.hpp"
-#include "metrics/metrics.hpp"
 #include "rdmarpc/connection.hpp"
 #include "rdmarpc/id_pool.hpp"
 #include "trace/trace.hpp"
@@ -56,16 +55,41 @@ class RpcServer {
   /// not offloaded on this path (§III.A), matching the paper's baseline.
   using Handler = std::function<Status(const RequestView&, Bytes& response)>;
 
+  /// Payload space reserved for one offloaded response.
+  struct ResponseSpace {
+    std::byte* data;  ///< local address the response object's root goes to
+    arena::AddressTranslator xlate;  ///< local -> peer address rebase
+  };
+
+  /// An in-place handler's one-shot reservation. `reserve(size)` opens the
+  /// response message with exactly `size` payload bytes (plus any trace
+  /// prefix, laid down first), waiting out credit backpressure;
+  /// kResourceExhausted when `size` exceeds the protocol's payload limit,
+  /// kFailedPrecondition on a second call.
+  class Reserve {
+   public:
+    StatusOr<ResponseSpace> operator()(uint32_t size);
+
+   private:
+    friend class RpcServer;
+    Reserve(RpcServer* server, const trace::TraceContext& tctx) noexcept
+        : server_(server), tctx_(tctx), extra_(tctx.active() ? kWireTraceSize : 0) {}
+
+    RpcServer* server_;
+    trace::TraceContext tctx_;
+    uint32_t extra_;
+    bool opened_ = false;
+    uint32_t reserved_ = 0;  ///< payload bytes of the open message
+  };
+
   /// Offloaded-response path (§III.A "can be implemented similarly"): the
-  /// handler constructs the response *object* directly in the outgoing
-  /// block arena, with pointers already in the peer's address space; the
-  /// DPU serializes it for the xRPC client. On success the handler sets
-  /// `*payload_size` (bytes of arena used) and `*class_index` (ADT class
-  /// of the object, shipped in the header's aux field).
-  using InPlaceHandler = std::function<Status(
-      const RequestView&, arena::Arena& response_arena,
-      const arena::AddressTranslator& xlate, uint32_t* payload_size,
-      uint16_t* class_index)>;
+  /// handler builds the response *object* off-block, reserves exactly its
+  /// size, copies it in with pointers rebased into the peer's address
+  /// space, and returns the object's ADT class (shipped in the header's
+  /// aux field). The DPU serializes it for the xRPC client. The handler
+  /// runs once per request; an error status becomes an error response.
+  using InPlaceHandler =
+      std::function<StatusOr<uint16_t>(const RequestView&, Reserve& reserve)>;
 
   explicit RpcServer(Connection* conn);
   ~RpcServer();
@@ -110,9 +134,6 @@ class RpcServer {
   /// Fragmented requests with at least one fragment received but not yet
   /// dispatched (reassembly in flight).
   size_t reassembly_streams() const noexcept { return reassembly_.size(); }
-  /// Times the write_response_inplace block-hint ladder re-ran the handler
-  /// in a bigger block (mirrors dpurpc_block_hint_retries_total).
-  uint64_t block_hint_retries() const noexcept { return hint_retries_count_; }
 
  private:
   /// Per received block: how many background requests are still running
@@ -161,28 +182,16 @@ class RpcServer {
   Status write_response(uint16_t request_id, const Status& handler_status,
                         ByteSpan payload,
                         trace::TraceContext tctx = trace::TraceContext());
-  /// An offloaded-response method and the block hint its next reply
-  /// starts the ladder at: the payload size its previous reply needed.
-  struct InPlaceMethod {
-    InPlaceHandler handler;
-    uint32_t hint = kFirstInPlaceHint;
-  };
-  static constexpr uint32_t kFirstInPlaceHint = 512;
-
   Status write_response_inplace(uint16_t request_id, const RequestView& req,
-                                InPlaceMethod& method);
+                                const InPlaceHandler& handler);
   Status pump_for_space();
-  void note_hint_retry() noexcept {
-    ++hint_retries_count_;
-    if (hint_retries_ != nullptr) hint_retries_->inc();
-  }
   void advance_ack_order();
   Status drain_background_results();
   void background_worker();
 
   Connection* conn_;
   std::map<uint16_t, Handler> handlers_;
-  std::map<uint16_t, InPlaceMethod> inplace_handlers_;
+  std::map<uint16_t, InPlaceHandler> inplace_handlers_;
   RequestIdPool id_pool_;
   /// Request IDs answered in each flushed-but-unacked response block, FIFO.
   /// Retired vectors are recycled through `id_list_pool_` so the steady
@@ -198,8 +207,6 @@ class RpcServer {
   /// stream_id -> in-flight reassembly (fragmented requests, §8).
   std::map<uint32_t, FragBuffer> reassembly_;
   uint64_t max_fragmented_payload_ = 64ull << 20;
-  metrics::Counter* hint_retries_ = nullptr;
-  uint64_t hint_retries_count_ = 0;
 
   // Background execution (§III.D extension).
   std::map<uint16_t, Handler> background_handlers_;

@@ -111,8 +111,6 @@ TEST_F(OffloadFixture, RegisterUnknownMethodFails) {
   EXPECT_EQ(host_->register_unary("kv.KvStore/Nope", nullptr).code(), Code::kNotFound);
   EXPECT_EQ(host_->register_stream("kv.KvStore/Nope", nullptr).code(),
             Code::kNotFound);
-  EXPECT_EQ(host_->register_unary_inplace("kv.KvStore/Nope", nullptr).code(),
-            Code::kNotFound);
   EXPECT_EQ(host_->register_unary_object("kv.KvStore/Nope", nullptr).code(),
             Code::kNotFound);
 }
@@ -208,9 +206,8 @@ TEST_F(OffloadFixture, FullOffloadPathEndToEnd) {
 
 TEST_F(OffloadFixture, ObjectResponsePathServedByThePlanSerializer) {
   // register_unary_object: the handler builds the response *object* with
-  // a LayoutBuilder and the host serializes it through the compiled plan —
-  // the middle rung between the WireCodec baseline and DPU-side response
-  // offload. An unmodified client must see byte-compatible responses.
+  // a LayoutBuilder and the DPU serializes it through the compiled plan.
+  // An unmodified client must see byte-compatible responses.
   std::map<std::string, std::string> store;
   ASSERT_TRUE(host_
                   ->register_unary_object(

@@ -252,20 +252,22 @@ TEST_F(ObjectCodecFixture, BuiltObjectSerializesLikeDynamicMessage) {
 }
 
 TEST_F(ObjectCodecFixture, BuilderWithTranslationSurvivesBufferCopy) {
-  // Build a response object in a "send buffer" with host-space pointers,
-  // copy it (the RDMA write), serialize it on the receiver: the offloaded
-  // response-serialization path. 4096 packed elements cross several
-  // in-place growths, each of which must keep the receiver-space pointer.
+  // Build a response object in scratch, copy it into a "send buffer" with
+  // host-space pointers (copy_relocated), copy that (the RDMA write) and
+  // serialize it on the receiver: the offloaded response-serialization
+  // path. 4096 packed elements cross several in-place growths, and the
+  // grown array must still be found and rebased.
   constexpr size_t kBuf = 1 << 15;
   constexpr uint64_t kPacked = 4096;
   std::vector<std::byte> sbuf(kBuf), rbuf(kBuf);
   AddressTranslator xlate{reinterpret_cast<intptr_t>(rbuf.data()) -
                           reinterpret_cast<intptr_t>(sbuf.data())};
   ASSERT_NE(xlate.delta, 0);
-  arena::Arena send_arena(sbuf.data(), kBuf);
+  OwningArena scratch(kBuf);
 
-  auto b = LayoutBuilder::create(&adt_, node_, &send_arena, xlate);
+  auto b = LayoutBuilder::create(&adt_, node_, &scratch);
   ASSERT_TRUE(b.is_ok());
+  ASSERT_EQ(static_cast<std::byte*>(b->object()), scratch.base());
   ASSERT_TRUE(b->set_uint64(6, 777).is_ok());
   for (uint64_t i = 0; i < kPacked; ++i) ASSERT_TRUE(b->add_scalar(3, i * 7).is_ok());
   ASSERT_TRUE(b->add_string(4, std::string(40, 'z')).is_ok());
@@ -273,11 +275,14 @@ TEST_F(ObjectCodecFixture, BuilderWithTranslationSurvivesBufferCopy) {
   ASSERT_TRUE(leaf.is_ok());
   ASSERT_TRUE(leaf->set_int64(1, 5).is_ok());
 
+  ArenaDeserializer deser(&adt_);
+  deser.copy_relocated(node_, scratch.base(), scratch.used(), sbuf.data(),
+                       xlate.delta);
+  std::memset(scratch.base(), 0xdd, scratch.used());  // nor here
   std::memcpy(rbuf.data(), sbuf.data(), kBuf);  // the RDMA write
   std::memset(sbuf.data(), 0xee, kBuf);         // nothing may still point here
 
-  auto* remote_obj =
-      reinterpret_cast<std::byte*>(xlate.translate_addr(b->object()));
+  auto* remote_obj = rbuf.data();
   ObjectSerializer ser(&adt_);
   Bytes wire;
   ASSERT_TRUE(ser.serialize(ObjectRef(node_, remote_obj), wire).is_ok());

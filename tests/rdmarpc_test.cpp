@@ -478,24 +478,19 @@ TEST(Integration, InPlacePayloadArrivesAtTranslatedAddress) {
 }
 
 TEST(Integration, OversizedInPlaceResponseGetsItsOwnBlock) {
-  // The in-place response path starts with a small block hint; a handler
-  // whose object exceeds the 8 KiB block must be retried in progressively
-  // larger blocks (not silently re-handed the same undersized arena —
-  // regression test for the empty-writer begin_message path).
+  // A response object larger than the 8 KiB block: the handler reserves
+  // its exact size once and gets a single-message block of its own
+  // (regression test for the empty-writer begin_message path).
   Fabric f;
   constexpr uint32_t kObjectBytes = 20000;
   f.server.register_inplace_handler(
-      kEcho, [](const RequestView&, arena::Arena& arena,
-                const arena::AddressTranslator&, uint32_t* payload_size,
-                uint16_t* class_index) -> Status {
-        auto* p = static_cast<std::byte*>(arena.allocate(kObjectBytes));
-        if (p == nullptr) return Status(Code::kResourceExhausted, "full");
+      kEcho, [](const RequestView&, RpcServer::Reserve& reserve)
+                 -> StatusOr<uint16_t> {
+        DPURPC_ASSIGN_OR_RETURN(auto space, reserve(kObjectBytes));
         for (uint32_t i = 0; i < kObjectBytes; ++i) {
-          p[i] = static_cast<std::byte>(i * 7);
+          space.data[i] = static_cast<std::byte>(i * 7);
         }
-        *payload_size = static_cast<uint32_t>(arena.used());
-        *class_index = 9;
-        return Status::ok();
+        return uint16_t{9};
       });
   bool checked = false;
   ASSERT_TRUE(f.client
@@ -504,7 +499,7 @@ TEST(Integration, OversizedInPlaceResponseGetsItsOwnBlock) {
                           ASSERT_TRUE(st.is_ok());
                           ASSERT_EQ(resp.header.flags, kFlagInPlaceObject);
                           EXPECT_EQ(resp.header.aux, 9);
-                          ASSERT_GE(resp.header.payload_size, kObjectBytes);
+                          ASSERT_EQ(resp.header.payload_size, kObjectBytes);
                           for (uint32_t i = 0; i < kObjectBytes; ++i) {
                             ASSERT_EQ(resp.payload_addr[i],
                                       static_cast<std::byte>(i * 7));
@@ -514,49 +509,83 @@ TEST(Integration, OversizedInPlaceResponseGetsItsOwnBlock) {
                   .is_ok());
   ASSERT_TRUE(f.pump_until(1).is_ok());
   EXPECT_TRUE(checked);
-  // Regression: every doubling of the block hint must be counted — both
-  // here and in dpurpc_block_hint_retries_total (same counter feeds both).
-  EXPECT_GT(f.server.block_hint_retries(), 0u);
 }
 
-TEST(Integration, InPlaceHintStartsAtPreviousReplySize) {
-  // The block-hint ladder is per method and remembers: once a method's
-  // reply needed a big block, its next reply of the same size starts
-  // there and runs the handler exactly once.
+TEST(Integration, InPlaceHandlerRunsOncePerReply) {
+  // No block-size hint to outgrow: every reply, the first included, runs
+  // its handler exactly once, however large its object.
   Fabric f;
   constexpr uint32_t kObjectBytes = 20000;
   int handler_runs = 0;
   f.server.register_inplace_handler(
-      kEcho, [&handler_runs](const RequestView&, arena::Arena& arena,
-                             const arena::AddressTranslator&, uint32_t* payload_size,
-                             uint16_t* class_index) -> Status {
+      kEcho, [&handler_runs](const RequestView&, RpcServer::Reserve& reserve)
+                 -> StatusOr<uint16_t> {
         ++handler_runs;
-        auto* p = static_cast<std::byte*>(arena.allocate(kObjectBytes));
-        if (p == nullptr) return Status(Code::kResourceExhausted, "full");
-        std::memset(p, 0x5a, kObjectBytes);
-        *payload_size = static_cast<uint32_t>(arena.used());
-        *class_index = 9;
-        return Status::ok();
+        DPURPC_ASSIGN_OR_RETURN(auto space, reserve(kObjectBytes));
+        std::memset(space.data, 0x5a, kObjectBytes);
+        return uint16_t{9};
       });
-  auto call_once = [&] {
+  for (int call = 1; call <= 3; ++call) {
     bool ok = false;
     ASSERT_TRUE(f.client
                     .call(kEcho, as_bytes_view("x"),
                           [&](const Status& st, const InMessage& resp) {
                             ok = st.is_ok() &&
-                                 resp.header.payload_size >= kObjectBytes;
+                                 resp.header.payload_size == kObjectBytes;
                           })
                     .is_ok());
     ASSERT_TRUE(f.pump_until(f.client.responses_received() + 1).is_ok());
     EXPECT_TRUE(ok);
-  };
-  call_once();
-  const uint64_t first_retries = f.server.block_hint_retries();
-  EXPECT_GT(first_retries, 0u);  // the first reply climbs the ladder
-  handler_runs = 0;
-  call_once();
-  EXPECT_EQ(f.server.block_hint_retries(), first_retries);
-  EXPECT_EQ(handler_runs, 1);
+    EXPECT_EQ(handler_runs, call);
+  }
+}
+
+TEST(Integration, InPlaceHandlerErrorsBecomeErrorResponses) {
+  // A failed handler's reservation is rolled back and the client sees its
+  // status; a handler that never reserves is an internal error; a reply
+  // past the payload limit cannot be reserved. The connection carries on.
+  Fabric f;
+  int mode = 0;
+  f.server.register_inplace_handler(
+      kEcho, [&mode](const RequestView&, RpcServer::Reserve& reserve)
+                 -> StatusOr<uint16_t> {
+        if (mode == 0) {
+          DPURPC_ASSIGN_OR_RETURN(auto space, reserve(64));
+          std::memset(space.data, 0, 64);
+          return Status(Code::kInvalidArgument, "bad request");
+        }
+        if (mode == 1) return uint16_t{9};
+        if (mode == 2) {
+          DPURPC_ASSIGN_OR_RETURN(auto space, reserve(kMaxPayloadSize + 1));
+          (void)space;
+          return uint16_t{9};
+        }
+        DPURPC_ASSIGN_OR_RETURN(auto space, reserve(8));
+        store_le<uint64_t>(space.data, 77);
+        // A second reservation for the same reply is refused.
+        if (reserve(8).status().code() != Code::kFailedPrecondition) {
+          return Status(Code::kInternal, "second reservation accepted");
+        }
+        return uint16_t{9};
+      });
+  const Code want[] = {Code::kInvalidArgument, Code::kInternal,
+                       Code::kResourceExhausted, Code::kOk};
+  for (mode = 0; mode < 4; ++mode) {
+    Status seen(Code::kAborted, "no response");
+    uint64_t value = 0;
+    ASSERT_TRUE(f.client
+                    .call(kEcho, as_bytes_view("x"),
+                          [&](const Status& st, const InMessage& resp) {
+                            seen = st;
+                            if (st.is_ok()) value = load_le<uint64_t>(resp.payload_addr);
+                          })
+                    .is_ok());
+    ASSERT_TRUE(f.pump_until(f.client.responses_received() + 1).is_ok());
+    EXPECT_EQ(seen.code(), want[mode]) << "mode " << mode;
+    if (mode == 3) {
+      EXPECT_EQ(value, 77u);
+    }
+  }
 }
 
 TEST(Integration, CreditsAndBuffersFullyReclaimedAtQuiescence) {

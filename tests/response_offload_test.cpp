@@ -1,11 +1,13 @@
 // End-to-end tests for the response-serialization offload (§III.A "the
 // response's serialization ... can be implemented similarly in our
-// design"): the host builds the response *object* in place with a
-// LayoutBuilder; the DPU serializes it with the ADT-driven
-// ObjectSerializer before answering the xRPC client. With both directions
-// offloaded, the host performs no serialization work at all.
+// design"): the host builds the response *object* once with a
+// LayoutBuilder and ships it in an exactly-sized block slot; the DPU
+// serializes it with the ADT-driven ObjectSerializer before answering the
+// xRPC client. With both directions offloaded, the host performs no
+// serialization work at all.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -107,7 +109,7 @@ TEST_F(ResponseOffloadFixture, FullyOffloadedRoundTrip) {
   // Host handler: reads the in-place request, BUILDS the in-place response
   // — zero host-side (de)serialization in either direction.
   ASSERT_TRUE(host_
-                  ->register_unary_inplace(
+                  ->register_unary_object(
                       "ro.Search/Find",
                       [](const ServerContext&, const adt::LayoutView& req,
                          adt::LayoutBuilder& resp) {
@@ -164,7 +166,7 @@ void ResponseOffloadFixture::expect_replies_match_oracle(int calls,
                                                          size_t max_text,
                                                          const std::string& pad) {
   ASSERT_TRUE(host_
-                  ->register_unary_inplace(
+                  ->register_unary_object(
                       "ro.Search/Find",
                       [pad](const ServerContext&, const adt::LayoutView& req,
                             adt::LayoutBuilder& resp) {
@@ -301,9 +303,77 @@ TEST_F(ResponseOffloadFixture, ObjectReplyShipsOnlyLiveBytes) {
   EXPECT_EQ(proxy_->stats().inline_serializes.load(), 0u);
 }
 
+// The handler builds a 16 KiB reply once per call, the first call
+// included: the engine reserves the finished object's exact size, so no
+// block-size guess can send the handler round again.
+TEST_F(ResponseOffloadFixture, ObjectHandlerRunsOncePerCall) {
+  constexpr uint32_t kValues = 4096;
+  std::atomic<int> runs{0};
+  ASSERT_TRUE(host_
+                  ->register_unary_object(
+                      "ro.Search/Fetch",
+                      [&runs](const ServerContext&, const adt::LayoutView&,
+                              adt::LayoutBuilder& resp) {
+                        runs.fetch_add(1);
+                        for (uint32_t i = 0; i < kValues; ++i) {
+                          DPURPC_RETURN_IF_ERROR(resp.add_scalar(1, i));
+                        }
+                        return resp.set_uint64(2, kValues);
+                      })
+                  .is_ok());
+  start();
+  auto chan = xrpc::Channel::connect(port_);
+  ASSERT_TRUE(chan.is_ok());
+  for (int call = 1; call <= 3; ++call) {
+    auto resp = (*chan)->call("ro.Search/Fetch", {});
+    ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();
+    EXPECT_EQ(runs.load(), call);
+  }
+}
+
+// A reply object past the 64 KiB payload limit reaches the xRPC client as
+// RESOURCE_EXHAUSTED, and the next call on the same channel is served.
+TEST_F(ResponseOffloadFixture, OversizeObjectReplyIsResourceExhausted) {
+  ASSERT_TRUE(host_
+                  ->register_unary_object(
+                      "ro.Search/Fetch",
+                      [](const ServerContext&, const adt::LayoutView& req,
+                         adt::LayoutBuilder& resp) {
+                        const uint64_t n = req.get_uint64(2);
+                        for (uint32_t i = 0; i < n; ++i) {
+                          DPURPC_RETURN_IF_ERROR(resp.add_scalar(1, i));
+                        }
+                        return resp.set_uint64(2, n);
+                      })
+                  .is_ok());
+  start();
+  auto chan = xrpc::Channel::connect(port_);
+  ASSERT_TRUE(chan.is_ok());
+  const auto* query_desc = pool_.find_message("ro.Query");
+  const auto* values_desc = pool_.find_message("ro.Values");
+  auto fetch = [&](uint32_t n) {
+    proto::DynamicMessage q(query_desc);
+    q.set_uint64(query_desc->field_by_name("top_k"), n);
+    Bytes wire = proto::WireCodec::serialize(q);
+    return (*chan)->call("ro.Search/Fetch", ByteSpan(wire));
+  };
+
+  constexpr uint32_t kOversize = 20000;  // 80 000 B of uint32
+  static_assert(kOversize * 4 > rdmarpc::kMaxPayloadSize);
+  auto big = fetch(kOversize);
+  EXPECT_EQ(big.status().code(), Code::kResourceExhausted);
+
+  auto small = fetch(16);
+  ASSERT_TRUE(small.is_ok()) << small.status().to_string();
+  proto::DynamicMessage want(values_desc);
+  for (uint32_t i = 0; i < 16; ++i) want.add_uint64(values_desc->field_by_name("v"), i);
+  want.set_uint64(values_desc->field_by_name("total"), 16);
+  EXPECT_EQ(*small, proto::WireCodec::serialize(want));
+}
+
 TEST_F(ResponseOffloadFixture, ManyCallsStayConsistent) {
   ASSERT_TRUE(host_
-                  ->register_unary_inplace(
+                  ->register_unary_object(
                       "ro.Search/Find",
                       [](const ServerContext&, const adt::LayoutView& req,
                          adt::LayoutBuilder& resp) {
@@ -336,7 +406,7 @@ TEST_F(ResponseOffloadFixture, ManyCallsStayConsistent) {
 
 TEST_F(ResponseOffloadFixture, HandlerErrorFallsBackToErrorResponse) {
   ASSERT_TRUE(host_
-                  ->register_unary_inplace(
+                  ->register_unary_object(
                       "ro.Search/Find",
                       [](const ServerContext&, const adt::LayoutView&,
                          adt::LayoutBuilder&) {
