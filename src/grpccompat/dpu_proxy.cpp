@@ -18,6 +18,9 @@ namespace {
 // rounding.
 constexpr size_t kMaxOutstandingJobs = 128;
 constexpr size_t kCodecRingCapacity = 256;
+// Backpressure retries per RDMA send (each pumps the event loop and waits
+// up to 1 ms when nothing moved) before the lane gives up on the host.
+constexpr int kMaxSendAttempts = 100000;
 // Slice cap for the pool: unary payloads are bounded by the block size,
 // but stream pieces (piece_target-sized, 8x decode inflation) need more
 // headroom. Slices are sized from the wire first and only grow to the
@@ -93,18 +96,42 @@ void note_peak(std::atomic<uint64_t>& cell, uint64_t value) {
          !cell.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
   }
 }
+
+/// The reject rule: statuses that condemn the request itself — malformed
+/// (kDataLoss, kInvalidArgument) or too large for any block
+/// (kOutOfRange) — answer only that xRPC call. Everything else that is
+/// not backpressure is a transport failure.
+bool rejects_only_the_call(Code code) {
+  return code == Code::kDataLoss || code == Code::kInvalidArgument ||
+         code == Code::kOutOfRange;
+}
 }  // namespace
 
-DpuProxy::DpuProxy(rdmarpc::Connection* conn, const OffloadManifest* manifest,
-                   adt::CodecOptions options)
-    : DpuProxy(std::vector<rdmarpc::Connection*>{conn}, manifest, options) {}
+template <typename SendOnce, typename Gone>
+Status DpuProxy::send_to_host(Lane& lane, SendOnce&& send_once, Gone&& gone) {
+  for (int attempt = 0;; ++attempt) {
+    Status st = send_once();
+    if (st.code() != Code::kUnavailable && st.code() != Code::kResourceExhausted) {
+      return st;
+    }
+    // Backpressure (no RDMA credit, full send buffer or ID pool): drain
+    // the event loop and retry. Continuations run inside the pump.
+    if (attempt > kMaxSendAttempts) return st;
+    auto pumped = lane.client.event_loop_once();
+    if (!pumped.is_ok()) return pumped.status();
+    if (*pumped == 0) lane.conn->wait(1);
+    if (gone()) return st;
+  }
+}
+
+DpuProxy::DpuProxy(rdmarpc::Connection* conn, const OffloadManifest* manifest)
+    : DpuProxy(std::vector<rdmarpc::Connection*>{conn}, manifest) {}
 
 DpuProxy::DpuProxy(const std::vector<rdmarpc::Connection*>& conns,
-                   const OffloadManifest* manifest, adt::CodecOptions options,
-                   int codec_workers)
+                   const OffloadManifest* manifest, int codec_workers)
     : manifest_(manifest),
-      deserializer_(&manifest->adt(), options),
-      serializer_(&manifest->adt(), options) {
+      deserializer_(&manifest->adt()),
+      serializer_(&manifest->adt()) {
   for (auto* conn : conns) {
     lanes_.push_back(std::make_unique<Lane>(conn, lanes_.size()));
   }
@@ -364,10 +391,8 @@ DPURPC_HOT_PATH Status DpuProxy::scan_and_submit(Lane& lane, uint32_t stream_id)
     job.cookie = ++lane.next_cookie;
     job.wire = std::move(buf);
     job.wire_offset = kStreamPrefixSize;
-    if (relaxed::load(lane.outstanding) < kMaxOutstandingJobs &&
-        pool_->submit(lane.index, job)) {
+    if (try_submit(lane, job)) {
       lane.pending_chunks.emplace(job.cookie, std::make_pair(stream_id, seq));
-      relaxed::add(lane.outstanding, 1);
       ++ps.decodes_in_pool;
       continue;
     }
@@ -439,39 +464,30 @@ void DpuProxy::forward_ready(Lane& lane, uint32_t stream_id) {
     // Counted before the call: the host's ack can arrive inside
     // call_fragmented's internal event-loop pump.
     ++ps.rpcs_in_flight;
+    const uint16_t method_id = ps.method->method_id;
     const uint64_t fwd_t0 = trace::enabled() ? WallTimer::now() : 0;
-    Status st;
-    for (int attempt = 0;; ++attempt) {
-      st = lane.client.call_fragmented(
-          ps.method->method_id, ByteSpan(piece),
-          [this, lane = &lane, stream_id, payload_bytes, fwd_t0](
-              const Status& rpc_result, const rdmarpc::InMessage&) {
-            if (fwd_t0 != 0) {
-              // Per-piece forward RPCs share one stream trace, so the span
-              // goes on the global track (like kWorkerDecodeChunk) — a
-              // per-trace span per piece would break the tiling invariant.
-              trace::Tracer::instance().record_global(
-                  trace::Stage::kStreamChunkForward, fwd_t0, WallTimer::now(),
-                  payload_bytes);
-            }
-            stream_chunk_acked(*lane, stream_id, payload_bytes, rpc_result);
-          });
-      if (st.is_ok()) break;
-      if (st.code() != Code::kUnavailable &&
-          st.code() != Code::kResourceExhausted) {
-        break;
-      }
-      if (attempt > 100000) break;
-      // Backpressure from the RDMA credit system: drain and retry.
-      auto pumped = lane.client.event_loop_once();
-      if (!pumped.is_ok()) {
-        st = pumped.status();
-        break;
-      }
-      if (*pumped == 0) lane.conn->wait(1);
-      if (lane.streams.find(stream_id) == lane.streams.end()) return;
-    }
+    Status st = send_to_host(
+        lane,
+        [&] {
+          return lane.client.call_fragmented(
+              method_id, ByteSpan(piece),
+              [this, lane = &lane, stream_id, payload_bytes, fwd_t0](
+                  const Status& rpc_result, const rdmarpc::InMessage&) {
+                if (fwd_t0 != 0) {
+                  // Per-piece forward RPCs share one stream trace, so the
+                  // span goes on the global track (like kWorkerDecodeChunk)
+                  // — a per-trace span per piece would break the tiling
+                  // invariant.
+                  trace::Tracer::instance().record_global(
+                      trace::Stage::kStreamChunkForward, fwd_t0,
+                      WallTimer::now(), payload_bytes);
+                }
+                stream_chunk_acked(*lane, stream_id, payload_bytes, rpc_result);
+              });
+        },
+        [&] { return !lane.streams.contains(stream_id); });
     if (!st.is_ok()) {
+      // A stream already failed inside the pump is gone: nothing to undo.
       auto again = lane.streams.find(stream_id);
       if (again != lane.streams.end()) --again->second->rpcs_in_flight;
       fail_stream(lane, stream_id, st);
@@ -529,40 +545,29 @@ void DpuProxy::maybe_finish_stream(Lane& lane, uint32_t stream_id) {
   trace::TraceContext tctx = ps.trace;
   uint16_t method_id = ps.method->method_id;
   ++ps.rpcs_in_flight;  // keeps the entry pinned until the continuation
-  Status st;
-  for (int attempt = 0;; ++attempt) {
-    st = lane.client.call_fragmented(
-        method_id, ByteSpan(marker),
-        [this, lane = &lane, stream_id, respond, tctx](
-            const Status& rpc_result, const rdmarpc::InMessage& resp) {
-          auto sit = lane->streams.find(stream_id);
-          if (sit != lane->streams.end()) {
-            retire_stream_hold(*sit->second);
-            lane->streams.erase(sit);
-          }
-          complete_response(*lane, respond, tctx, rpc_result, resp);
-        },
-        tctx);
-    if (st.is_ok()) break;
-    if (st.code() != Code::kUnavailable &&
-        st.code() != Code::kResourceExhausted) {
-      break;
-    }
-    if (attempt > 100000) break;
-    auto pumped = lane.client.event_loop_once();
-    if (!pumped.is_ok()) {
-      st = pumped.status();
-      break;
-    }
-    if (*pumped == 0) lane.conn->wait(1);
-    if (lane.streams.find(stream_id) == lane.streams.end()) return;
-  }
+  Status st = send_to_host(
+      lane,
+      [&] {
+        return lane.client.call_fragmented(
+            method_id, ByteSpan(marker),
+            [this, lane = &lane, stream_id, respond, tctx](
+                const Status& rpc_result, const rdmarpc::InMessage& resp) {
+              auto sit = lane->streams.find(stream_id);
+              if (sit != lane->streams.end()) {
+                retire_stream_hold(*sit->second);
+                lane->streams.erase(sit);
+              }
+              complete_response(*lane, respond, tctx, rpc_result, resp);
+            },
+            tctx);
+      },
+      [&] { return !lane.streams.contains(stream_id); });
   if (!st.is_ok()) {
     auto sit = lane.streams.find(stream_id);
-    if (sit != lane.streams.end()) {
-      retire_stream_hold(*sit->second);
-      lane.streams.erase(sit);
-    }
+    // Failed (and answered) inside the pump: the client has its reply.
+    if (sit == lane.streams.end()) return;
+    retire_stream_hold(*sit->second);
+    lane.streams.erase(sit);
     relaxed::add(stats_.stream_aborts, 1);
     // dpulint: allow(trace-pairing): end-marker send failure — the stream
     // never completed a datapath traversal, so no kComplete span exists.
@@ -590,31 +595,41 @@ Status DpuProxy::submit_decode(Lane& lane, PendingCall call) {
                                      call.enqueue_ns, now);
     call.enqueue_ns = now;  // decode-ring wait starts where the queue ended
   }
-  if (call.payload.size() <= kInlineCodecMaxBytes) {
-    // Small request: decoding it here costs less than the pool handoff.
-    relaxed::add(stats_.inline_decodes, 1);
-    return forward(lane, std::move(call));
+  const MethodEntry* entry = call.method;
+  if (call.payload.size() > kInlineCodecMaxBytes) {
+    dpu::CodecJob job;
+    job.kind = dpu::JobKind::kDecode;
+    job.class_index = entry->input_class;
+    job.cookie = ++lane.next_cookie;
+    job.wire = std::move(call.payload);
+    job.trace = call.trace;
+    job.submit_ns = call.enqueue_ns;
+    if (try_submit(lane, job)) {
+      lane.pending.emplace(job.cookie,
+                           PendingDecode{entry, std::move(call.respond), call.trace});
+      return Status::ok();
+    }
+    // Ring/budget full (or shutting down): spill to the lane thread rather
+    // than block — the inline path is bit-identical in output.
+    call.payload = std::move(job.wire);
   }
-  dpu::CodecJob job;
-  job.kind = dpu::JobKind::kDecode;
-  job.class_index = call.method->input_class;
-  job.cookie = ++lane.next_cookie;
-  job.wire = std::move(call.payload);
-  job.trace = call.trace;
-  job.submit_ns = call.enqueue_ns;
-  if (relaxed::load(lane.outstanding) < kMaxOutstandingJobs &&
-      pool_->submit(lane.index, job)) {
-    lane.pending.emplace(
-        job.cookie,
-        PendingDecode{call.method, std::move(call.respond), call.trace});
-    relaxed::add(lane.outstanding, 1);
-    return Status::ok();
-  }
-  // Ring full (or shutting down): spill to the lane thread rather than
-  // block — the inline path is bit-identical in output.
+  // Small request (decoding it here costs less than the pool handoff) or
+  // spill: deserialize straight into the block arena, pointers already in
+  // host space (§V). The hint reflects that the deserialized object is
+  // usually a small multiple of the wire size (varints expand,
+  // headers/bitfields add a constant).
   relaxed::add(stats_.inline_decodes, 1);
-  call.payload = std::move(job.wire);
-  return forward(lane, std::move(call));
+  const ByteSpan payload(call.payload);
+  auto hint = static_cast<uint32_t>(
+      std::min<uint64_t>(rdmarpc::kMaxPayloadSize, payload.size() * 4 + 256));
+  return forward(
+      lane, entry, std::move(call.respond), call.trace, hint,
+      [&](arena::Arena& arena, const arena::AddressTranslator& xlate)
+          -> StatusOr<uint32_t> {
+        auto obj = deserializer_.deserialize(entry->input_class, payload, arena, xlate);
+        if (!obj.is_ok()) return obj.status();
+        return static_cast<uint32_t>(arena.used());
+      });
 }
 
 void DpuProxy::complete_response(
@@ -667,7 +682,6 @@ bool DpuProxy::submit_encode(
     Lane& lane, const std::shared_ptr<xrpc::Server::Responder>& respond,
     const trace::TraceContext& tctx, const rdmarpc::InMessage& resp,
     uint64_t submit_ns) {
-  if (relaxed::load(lane.outstanding) >= kMaxOutstandingJobs) return false;
   const size_t bytes = resp.payload.size();
   dpu::ScratchSlice slice = dpu::ScratchSlice::allocate(bytes);
   if (!slice) return false;
@@ -687,9 +701,8 @@ bool DpuProxy::submit_encode(
   job.obj_offset = 0;
   job.trace = tctx;
   job.submit_ns = submit_ns;
-  if (!pool_->submit(lane.index, job)) return false;
+  if (!try_submit(lane, job)) return false;
   lane.pending_encodes.emplace(job.cookie, PendingEncode{respond, tctx});
-  relaxed::add(lane.outstanding, 1);
   return true;
 }
 
@@ -717,7 +730,16 @@ void DpuProxy::finish_encoded(Lane& lane, dpu::CodecResult result) {
   }
 }
 
-Status DpuProxy::forward_decoded(Lane& lane, dpu::CodecResult result) {
+bool DpuProxy::try_submit(Lane& lane, dpu::CodecJob& job) {
+  if (relaxed::load(lane.outstanding) >= kMaxOutstandingJobs ||
+      !pool_->submit(lane.index, job)) {
+    return false;
+  }
+  relaxed::add(lane.outstanding, 1);
+  return true;
+}
+
+Status DpuProxy::request_decoded(Lane& lane, dpu::CodecResult result) {
   auto it = lane.pending.find(result.cookie);
   if (it == lane.pending.end()) return Status::ok();  // failed out already
   PendingDecode pending = std::move(it->second);
@@ -735,105 +757,60 @@ Status DpuProxy::forward_decoded(Lane& lane, dpu::CodecResult result) {
   }
 
   const MethodEntry* entry = pending.method;
-  auto respond = std::make_shared<xrpc::Server::Responder>(std::move(pending.respond));
-  trace::TraceContext tctx = pending.trace;
-
-  for (int attempt = 0;; ++attempt) {
-    Status st = lane.client.call_inplace(
-        entry->method_id, static_cast<uint16_t>(entry->input_class), result.used,
-        // The sharded offload tail: the tree is already decoded (fully
-        // local to the worker's scratch slice); copy it into the block
-        // payload and rebase every pointer into the host's address space.
-        // Equivalent to having deserialized straight into the block.
-        [&](arena::Arena& arena, const arena::AddressTranslator& xlate)
-            -> StatusOr<uint32_t> {
-          // kPayloadAlign placement = offset 0 of the payload, exactly
-          // where the receiver expects the root object; the 64-aligned
-          // scratch base keeps every interior alignment intact.
-          void* dst = arena.allocate(result.used, kPayloadAlign);
-          if (dst == nullptr) {
-            return Status(Code::kResourceExhausted, "block cannot hold decoded object");
-          }
-          deserializer_.copy_relocated(entry->input_class, result.slice.data(),
-                                       result.used, static_cast<std::byte*>(dst),
-                                       xlate.delta, result.obj_offset);
-          return static_cast<uint32_t>(arena.used());
-        },
-        [this, lane = &lane, respond, tctx](const Status& rpc_result,
-                                            const rdmarpc::InMessage& resp) {
-          complete_response(*lane, respond, tctx, rpc_result, resp);
-        },
-        tctx);
-    if (st.is_ok()) {
-      relaxed::add(stats_.offloaded_requests, 1);
-      relaxed::add(lane.forwarded, 1);
-      return Status::ok();
-    }
-    if (st.code() != Code::kUnavailable && st.code() != Code::kResourceExhausted) {
-      return st;
-    }
-    // Backpressure: drain the event loop and retry.
-    if (attempt > 100000) return st;
-    auto pumped = lane.client.event_loop_once();
-    if (!pumped.is_ok()) return pumped.status();
-    if (*pumped == 0) lane.conn->wait(1);
-  }
+  return forward(
+      lane, entry, std::move(pending.respond), pending.trace, result.used,
+      // The tree is already decoded (fully local to the worker's scratch
+      // slice); copy it into the block payload and rebase every pointer
+      // into the host's address space. Equivalent to having deserialized
+      // straight into the block.
+      [&](arena::Arena& arena, const arena::AddressTranslator& xlate)
+          -> StatusOr<uint32_t> {
+        // kPayloadAlign placement = offset 0 of the payload, exactly where
+        // the receiver expects the root object; the 64-aligned scratch
+        // base keeps every interior alignment intact.
+        void* dst = arena.allocate(result.used, kPayloadAlign);
+        if (dst == nullptr) {
+          return Status(Code::kResourceExhausted, "block cannot hold decoded object");
+        }
+        deserializer_.copy_relocated(entry->input_class, result.slice.data(),
+                                     result.used, static_cast<std::byte*>(dst),
+                                     xlate.delta, result.obj_offset);
+        return static_cast<uint32_t>(arena.used());
+      });
 }
 
-Status DpuProxy::forward(Lane& lane, PendingCall call) {
-  const MethodEntry* entry = call.method;
-  // Size hint: the deserialized object is usually a small multiple of the
-  // wire size (varints expand, headers/bitfields add a constant).
-  auto hint = static_cast<uint32_t>(
-      std::min<uint64_t>(rdmarpc::kMaxPayloadSize, call.payload.size() * 4 + 256));
-
-  auto respond = std::make_shared<xrpc::Server::Responder>(std::move(call.respond));
-  Bytes payload = std::move(call.payload);
-  trace::TraceContext tctx = call.trace;
-
-  for (int attempt = 0;; ++attempt) {
-    Status st = lane.client.call_inplace(
-        entry->method_id, static_cast<uint16_t>(entry->input_class), hint,
-        // The offload itself: deserialize the protobuf payload straight
-        // into the block arena, pointers already in host space (§V).
-        [&](arena::Arena& arena, const arena::AddressTranslator& xlate)
-            -> StatusOr<uint32_t> {
-          auto obj = deserializer_.deserialize(entry->input_class, ByteSpan(payload),
-                                               arena, xlate);
-          if (!obj.is_ok()) return obj.status();
-          return static_cast<uint32_t>(arena.used());
-        },
-        // Continuation: the copy-path response is already serialized by
-        // the host; an offloaded response (kFlagInPlaceObject) arrives as
-        // an in-place object the DPU serializes (§III.A extension).
-        [this, lane = &lane, respond, tctx](const Status& rpc_result,
-                                            const rdmarpc::InMessage& resp) {
-          complete_response(*lane, respond, tctx, rpc_result, resp);
-        },
-        tctx);
-    if (st.is_ok()) {
-      relaxed::add(stats_.offloaded_requests, 1);
-      relaxed::add(lane.forwarded, 1);
-      return Status::ok();
-    }
-    if (st.code() == Code::kDataLoss || st.code() == Code::kInvalidArgument) {
-      // Malformed request payload: reject it to the xRPC client; the
-      // datapath stays healthy.
-      relaxed::add(stats_.deserialize_failures, 1);
-      // dpulint: allow(trace-pairing): malformed-payload reject on the
-      // forward path — the request never completed, no kComplete span.
-      (*respond)(st.code(), {});
-      return Status::ok();
-    }
-    if (st.code() != Code::kUnavailable && st.code() != Code::kResourceExhausted) {
-      return st;
-    }
-    // Backpressure: drain the event loop and retry.
-    if (attempt > 100000) return st;
-    auto pumped = lane.client.event_loop_once();
-    if (!pumped.is_ok()) return pumped.status();
-    if (*pumped == 0) lane.conn->wait(1);
+Status DpuProxy::forward(Lane& lane, const MethodEntry* entry,
+                         xrpc::Server::Responder respond,
+                         const trace::TraceContext& tctx, uint32_t hint,
+                         const rdmarpc::RpcClient::InPlaceBuilder& build) {
+  auto responder = std::make_shared<xrpc::Server::Responder>(std::move(respond));
+  Status st = send_to_host(
+      lane,
+      [&] {
+        return lane.client.call_inplace(
+            entry->method_id, static_cast<uint16_t>(entry->input_class), hint,
+            build,
+            // Continuation: the copy-path response is already serialized by
+            // the host; an offloaded response (kFlagInPlaceObject) arrives
+            // as an in-place object the DPU serializes (§III.A extension).
+            [this, lane = &lane, responder, tctx](const Status& rpc_result,
+                                                  const rdmarpc::InMessage& resp) {
+              complete_response(*lane, responder, tctx, rpc_result, resp);
+            },
+            tctx);
+      },
+      [] { return false; });
+  if (st.is_ok()) {
+    relaxed::add(stats_.offloaded_requests, 1);
+    relaxed::add(lane.forwarded, 1);
+    return Status::ok();
   }
+  if (!rejects_only_the_call(st.code())) return st;
+  relaxed::add(stats_.deserialize_failures, 1);
+  // dpulint: allow(trace-pairing): reject of a malformed or oversized
+  // request — it never completed a datapath traversal, no kComplete span.
+  (*responder)(st.code(), {});
+  return Status::ok();
 }
 
 void DpuProxy::fail_pending(Lane& lane) {
@@ -896,7 +873,7 @@ void DpuProxy::poller_loop(Lane& lane) {
         chunk_decoded(lane, std::move(result));
         continue;
       }
-      Status st = forward_decoded(lane, std::move(result));
+      Status st = request_decoded(lane, std::move(result));
       if (!st.is_ok()) {
         relaxed::store(stopping_, true);
         fail_pending(lane);

@@ -32,6 +32,18 @@
 // the same inline paths the pool-full spill uses. A codec job that small
 // costs no more than the ring handoff and worker wake-up it would pay.
 // The lane thread is a DPU core, so the host still does no codec work.
+//
+// One host-forward path (DESIGN.md §3.14): every RDMA send — a unary
+// request, a stream piece, a stream's end marker — goes through one
+// backpressure loop (send_to_host). Unary requests share one forward
+// whose only variable is the builder that fills the send block: the lane
+// builder deserializes the wire bytes there, the pool builder copies a
+// worker-decoded slice and relocates it. One reject rule reads the
+// result: kUnavailable/kResourceExhausted is backpressure and retries; a
+// malformed request (kDataLoss, kInvalidArgument) or one whose object
+// cannot fit even a maximum-size block (kOutOfRange) is answered with
+// that status and touches nothing else; any other status is a transport
+// failure and fails the lane.
 #pragma once
 
 #include <atomic>
@@ -116,16 +128,14 @@ struct StreamOptions {
 class DpuProxy {
  public:
   /// Single-connection proxy (one poller lane).
-  DpuProxy(rdmarpc::Connection* conn, const OffloadManifest* manifest,
-           adt::CodecOptions options = {});
+  DpuProxy(rdmarpc::Connection* conn, const OffloadManifest* manifest);
 
   /// Multi-connection proxy: one dedicated poller thread per connection
   /// (§III.C); incoming xRPC calls are distributed round-robin.
   /// `codec_workers` sizes the codec pool: 0 → dpu::DeviceInfo cores
   /// (DPURPC_DPU_CORES overrides), clamped to the lane count.
   DpuProxy(const std::vector<rdmarpc::Connection*>& conns,
-           const OffloadManifest* manifest, adt::CodecOptions options = {},
-           int codec_workers = 0);
+           const OffloadManifest* manifest, int codec_workers = 0);
 
   ~DpuProxy();
 
@@ -286,14 +296,15 @@ class DpuProxy {
   /// Completion of a kDecodeChunk job: stage the piece in `ready` and
   /// forward everything now in order.
   void chunk_decoded(Lane& lane, dpu::CodecResult result);
-  /// Forward in-order ready pieces to the host (call_fragmented); each
-  /// host ack releases budget and re-grants client credit.
+  /// Forward in-order ready pieces to the host (call_fragmented through
+  /// send_to_host); each host ack releases budget and re-grants client
+  /// credit.
   void forward_ready(Lane& lane, uint32_t stream_id);
   /// Host acked one forwarded piece (RPC continuation, poller thread).
   void stream_chunk_acked(Lane& lane, uint32_t stream_id,
                           uint64_t payload_bytes, const Status& rpc_result);
-  /// Everything drained after the end frame → send the end marker; its
-  /// response completes the xRPC call.
+  /// Everything drained after the end frame → send the end marker
+  /// (through send_to_host); its response completes the xRPC call.
   void maybe_finish_stream(Lane& lane, uint32_t stream_id);
   /// Fail the stream to the client and drop every held buffer.
   void fail_stream(Lane& lane, uint32_t stream_id, const Status& why);
@@ -301,16 +312,36 @@ class DpuProxy {
   /// Every path that erases a ProxyStream must pass through this, or the
   /// proxy-wide gauge leaks the stream's unacked bytes forever.
   void retire_stream_hold(ProxyStream& ps) noexcept;
-  /// Route a call's decode: small payloads and pool-full spills decode
-  /// inline (forward), the rest go to the pool. Returns non-ok only on
-  /// unrecoverable datapath failure.
+  /// Admission to the codec pool: false when the lane's outstanding
+  /// budget or its ring is full (the job is left intact for the caller's
+  /// inline spill); true counts the job against the budget.
+  bool try_submit(Lane& lane, dpu::CodecJob& job);
+  /// Route a call's decode: large payloads go to the pool; small ones and
+  /// pool-full spills are forwarded with the lane builder (deserialize
+  /// straight into the send block). Returns non-ok only on unrecoverable
+  /// datapath failure.
   Status submit_decode(Lane& lane, PendingCall call);
-  /// Ship a pool-decoded slice: copy into the send block, relocate its
-  /// pointers to host space, and fire the RPC.
-  Status forward_decoded(Lane& lane, dpu::CodecResult result);
-  /// Inline path: deserialize straight into the send block on the lane
-  /// thread. Serves small payloads and the pool-full spill.
-  Status forward(Lane& lane, PendingCall call);
+  /// Completion of a pool decode: reject a failed decode to its caller,
+  /// else forward with the pool builder (copy the decoded slice into the
+  /// send block, relocating its pointers to host space).
+  Status request_decoded(Lane& lane, dpu::CodecResult result);
+  /// The one unary host-forward path: build the request object in the
+  /// send block with `build` and fire the RPC, retrying through
+  /// backpressure. A request the reject rule condemns (malformed, or too
+  /// large for any block) is answered with its status and counted in
+  /// deserialize_failures; non-ok only on transport failure, which fails
+  /// the lane.
+  Status forward(Lane& lane, const MethodEntry* entry,
+                 xrpc::Server::Responder respond,
+                 const trace::TraceContext& tctx, uint32_t hint,
+                 const rdmarpc::RpcClient::InPlaceBuilder& build);
+  /// The one backpressure loop: run `send_once` (one RDMA send attempt) until
+  /// it returns anything but kUnavailable/kResourceExhausted, pumping the
+  /// lane's event loop between attempts. Continuations run inside the
+  /// pump; `gone()` lets a caller whose state a continuation tore down
+  /// stop retrying. Gives up after kMaxSendAttempts.
+  template <typename SendOnce, typename Gone>
+  Status send_to_host(Lane& lane, SendOnce&& send_once, Gone&& gone);
   /// Shared RPC continuation tail: error → error reply; in-place object →
   /// lane-thread serialize (small object or pool-full spill) or encode
   /// offload; bytes → pass through.
@@ -319,9 +350,9 @@ class DpuProxy {
                          const trace::TraceContext& tctx, const Status& result,
                          const rdmarpc::InMessage& resp);
   /// Copy an in-place response object out of the receive block into a
-  /// fully-local slice and hand it to the pool as an encode job. False
-  /// when the job could not be submitted (budget/ring full, copy failed):
-  /// the caller serializes inline.
+  /// fully-local slice and hand it to the pool (try_submit) as an encode
+  /// job. False when the job could not be submitted (budget/ring full,
+  /// slice allocation failed): the caller serializes inline.
   bool submit_encode(Lane& lane,
                      const std::shared_ptr<xrpc::Server::Responder>& respond,
                      const trace::TraceContext& tctx,

@@ -100,7 +100,8 @@ class BlockWriter {
       abort_message();
       return Status(Code::kResourceExhausted, "payload does not fit in block");
     }
-    std::memcpy(*dst, payload.data(), payload.size());
+    // An empty payload may have a null data(): memcpy's source must not be.
+    if (!payload.empty()) std::memcpy(*dst, payload.data(), payload.size());
     return commit_message(static_cast<uint32_t>(payload.size()), id_or_method, flags, aux);
   }
 

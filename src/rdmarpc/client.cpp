@@ -101,7 +101,10 @@ Status RpcClient::call_inplace(uint16_t method_id, uint16_t class_index,
   for (int attempt = 0; attempt < 2; ++attempt) {
     auto dst = conn_->begin_message(hint);
     if (!dst.is_ok()) return dst.status();
-    arena::Arena arena = conn_->payload_arena();
+    // Capped at the header's payload limit: a builder that fits this
+    // arena always commits, one that cannot fit it never will.
+    arena::Arena arena(*dst, std::min<size_t>(conn_->payload_arena().capacity(),
+                                              kMaxPayloadSize));
     if (extra != 0) {
       // The prefix is the first allocation from the payload arena, so the
       // builder's arena.used() return covers it and the object root lands
@@ -136,7 +139,8 @@ Status RpcClient::call_inplace(uint16_t method_id, uint16_t class_index,
     // Out of block space: retry once in a fresh, maximum-size block.
     hint = kMaxPayloadSize;
   }
-  return Status(Code::kResourceExhausted,
+  // Permanent, unlike backpressure: no amount of retrying makes it fit.
+  return Status(Code::kOutOfRange,
                 "request payload does not fit in a maximum-size block");
 }
 

@@ -44,8 +44,12 @@ class RpcClient {
               trace::TraceContext tctx = trace::TraceContext());
 
   /// Enqueue an in-place request (the offload path). `payload_hint` sizes
-  /// the block-space reservation; on arena exhaustion the builder is
-  /// retried once in a fresh maximum-size block.
+  /// the block-space reservation; on arena exhaustion (the builder's
+  /// kResourceExhausted) the builder is retried once in a fresh
+  /// maximum-size block. kUnavailable/kResourceExhausted = backpressure:
+  /// run the event loop and retry. kOutOfRange = the payload cannot fit
+  /// even a maximum-size block (kMaxPayloadSize); retrying never helps.
+  /// Any other builder status is returned as is.
   Status call_inplace(uint16_t method_id, uint16_t class_index,
                       uint32_t payload_hint, const InPlaceBuilder& builder,
                       Continuation done,

@@ -28,11 +28,25 @@ message PutRequest { string key = 1; string value = 2; }
 message PutResponse { bool created = 1; }
 message StatsRequest { repeated uint32 shard_ids = 1; }
 message StatsResponse { uint64 keys = 1; double load = 2; }
+// ~1 KiB in host layout per row, 2 bytes on the wire when empty: a small
+// request whose decoded object outgrows any block.
+message WideRow {
+  string c1 = 1;   string c2 = 2;   string c3 = 3;   string c4 = 4;
+  string c5 = 5;   string c6 = 6;   string c7 = 7;   string c8 = 8;
+  string c9 = 9;   string c10 = 10; string c11 = 11; string c12 = 12;
+  string c13 = 13; string c14 = 14; string c15 = 15; string c16 = 16;
+  string c17 = 17; string c18 = 18; string c19 = 19; string c20 = 20;
+  string c21 = 21; string c22 = 22; string c23 = 23; string c24 = 24;
+  string c25 = 25; string c26 = 26; string c27 = 27; string c28 = 28;
+  string c29 = 29; string c30 = 30;
+}
+message ScanRequest { uint32 limit = 1; repeated WideRow rows = 2; }
 
 service KvStore {
   rpc Get (GetRequest) returns (GetResponse);
   rpc Put (PutRequest) returns (PutResponse);
   rpc Stats (StatsRequest) returns (StatsResponse);
+  rpc Scan (ScanRequest) returns (StatsResponse);
 }
 )";
 
@@ -77,6 +91,9 @@ class OffloadFixture : public ::testing::Test {
     });
   }
 
+  void expect_oversized_request_rejected(std::string_view method,
+                                         const Bytes& oversized);
+
   void TearDown() override {
     if (proxy_) proxy_->stop();
     stop_.store(true);
@@ -95,7 +112,7 @@ class OffloadFixture : public ::testing::Test {
 };
 
 TEST_F(OffloadFixture, ManifestMapsAllMethods) {
-  EXPECT_EQ(host_manifest_->methods().size(), 3u);
+  EXPECT_EQ(host_manifest_->methods().size(), 4u);
   const auto* get = host_manifest_->find_by_name("kv.KvStore/Get");
   ASSERT_NE(get, nullptr);
   EXPECT_EQ(get->input_type, "kv.GetRequest");
@@ -103,7 +120,7 @@ TEST_F(OffloadFixture, ManifestMapsAllMethods) {
   EXPECT_EQ(host_manifest_->find_by_id(get->method_id), get);
   EXPECT_EQ(host_manifest_->find_by_name("kv.KvStore/Nope"), nullptr);
   // The shipped manifest agrees.
-  EXPECT_EQ(dpu_manifest_->methods().size(), 3u);
+  EXPECT_EQ(dpu_manifest_->methods().size(), 4u);
   EXPECT_NE(dpu_manifest_->adt().find_class("kv.GetRequest"), UINT32_MAX);
 }
 
@@ -315,6 +332,58 @@ TEST_F(OffloadFixture, MalformedPayloadRejectedAtTheDpu) {
   EXPECT_FALSE(resp.is_ok());
   EXPECT_EQ(proxy_->stats().deserialize_failures.load(), 1u);
   EXPECT_EQ(host_->requests_served(), 0u);  // the host never saw it
+}
+
+// A request whose decoded object cannot fit even a maximum-size block is
+// answered OUT_OF_RANGE on its own call; the lane keeps serving the next
+// call on the same channel, and the host never sees the bad request.
+void OffloadFixture::expect_oversized_request_rejected(std::string_view method,
+                                                       const Bytes& oversized) {
+  ASSERT_TRUE(host_
+                  ->register_unary("kv.KvStore/Stats",
+                                   [](const ServerContext&, const adt::LayoutView& req,
+                                      proto::DynamicMessage& resp) {
+                                     resp.set_uint64(
+                                         resp.descriptor()->field_by_name("keys"),
+                                         req.repeated_size(1));
+                                     return Status::ok();
+                                   })
+                  .is_ok());
+  start_host_loop();
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+  auto bad = (*chan)->call(method, ByteSpan(oversized), /*timeout_ms=*/1000);
+  EXPECT_EQ(bad.status().code(), Code::kOutOfRange) << bad.status().to_string();
+  EXPECT_EQ(proxy_->stats().deserialize_failures.load(), 1u);
+
+  Bytes small = to_bytes("\x08\x07");  // StatsRequest{shard_ids: [7]}
+  auto good = (*chan)->call("kv.KvStore/Stats", ByteSpan(small), 1000);
+  ASSERT_TRUE(good.is_ok()) << good.status().to_string();
+  EXPECT_EQ(host_->requests_served(), 1u);  // only the good call
+}
+
+TEST_F(OffloadFixture, OversizedPoolDecodeRejectedWithoutWedgingTheLane) {
+  // 20 000 one-byte shard ids: 20 004 wire bytes (past the inline cutoff,
+  // so the pool decodes it) and 80 000 decoded bytes (> kMaxPayloadSize).
+  Bytes wire = to_bytes("\x0a\xa0\x9c\x01");  // field 1, packed, 20 000 B
+  wire.insert(wire.end(), 20000, std::byte{1});
+  ASSERT_GT(wire.size(), kInlineCodecMaxBytes);
+  expect_oversized_request_rejected("kv.KvStore/Stats", wire);
+}
+
+TEST_F(OffloadFixture, OversizedLaneDecodeRejectedWithoutWedgingTheLane) {
+  // 500 empty WideRows: 1 000 wire bytes (decoded on the lane thread)
+  // that inflate to ~500 KB of host-layout objects.
+  Bytes wire;
+  for (int i = 0; i < 500; ++i) {
+    wire.push_back(std::byte{0x12});
+    wire.push_back(std::byte{0x00});
+  }
+  ASSERT_LE(wire.size(), kInlineCodecMaxBytes);
+  expect_oversized_request_rejected("kv.KvStore/Scan", wire);
 }
 
 TEST_F(OffloadFixture, UnknownXrpcMethodRejectedAtTheDpu) {

@@ -187,7 +187,7 @@ TEST(MultiLane, CodecPoolShardsAcrossFewerWorkersThanLanes) {
     }
   });
 
-  DpuProxy proxy(dpu_ptrs, &*manifest, {}, kWorkers);
+  DpuProxy proxy(dpu_ptrs, &*manifest, kWorkers);
   EXPECT_EQ(proxy.codec_pool().worker_count(), static_cast<size_t>(kWorkers));
   EXPECT_EQ(proxy.codec_pool().lane_count(), kLanes);
   auto port = proxy.start();

@@ -477,6 +477,45 @@ TEST(Integration, InPlacePayloadArrivesAtTranslatedAddress) {
   EXPECT_EQ(answer, 42u);
 }
 
+TEST(Integration, InPlaceBuilderPastMaxBlockIsOutOfRange) {
+  // kOutOfRange (permanent) is how call_inplace tells a payload that can
+  // never fit apart from backpressure; one that fits only a fresh
+  // maximum-size block — exactly kMaxPayloadSize bytes — still goes out.
+  Fabric f;
+  f.server.register_handler(kEcho, [](const RequestView& req, Bytes& out) {
+    out.resize(8);
+    store_le<uint64_t>(out.data(), req.payload.size());
+    return Status::ok();
+  });
+  auto filler = [](size_t bytes) {
+    return [bytes](arena::Arena& arena, const arena::AddressTranslator&)
+               -> StatusOr<uint32_t> {
+      if (arena.allocate(bytes, 1) == nullptr) {
+        return Status(Code::kResourceExhausted, "full");
+      }
+      return static_cast<uint32_t>(arena.used());
+    };
+  };
+  // One byte over the limit must not reach commit: a fresh block's payload
+  // space rounds up past kMaxPayloadSize, and a failed commit would leave
+  // the message open for the next call.
+  for (size_t bytes : {size_t{kMaxPayloadSize} + 1, size_t{2} * kMaxPayloadSize}) {
+    EXPECT_EQ(f.client.call_inplace(kEcho, 1, 64, filler(bytes), nullptr).code(),
+              Code::kOutOfRange);
+  }
+
+  uint64_t seen = 0;
+  ASSERT_TRUE(f.client
+                  .call_inplace(kEcho, 1, 64, filler(kMaxPayloadSize),
+                                [&](const Status& st, const InMessage& resp) {
+                                  ASSERT_TRUE(st.is_ok());
+                                  seen = load_le<uint64_t>(resp.payload.data());
+                                })
+                  .is_ok());
+  ASSERT_TRUE(f.pump_until(1).is_ok());
+  EXPECT_EQ(seen, kMaxPayloadSize);
+}
+
 TEST(Integration, OversizedInPlaceResponseGetsItsOwnBlock) {
   // A response object larger than the 8 KiB block: the handler reserves
   // its exact size once and gets a single-message block of its own

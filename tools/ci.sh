@@ -5,7 +5,8 @@
 #   2. asan         — address+undefined sanitizers, plus DPURPC_LOCKDEP=ON:
 #                     the deserializer works on raw arena bytes and does
 #                     unaligned word probes, so this pass catches the
-#                     lifetime/OOB slips the plain pass runs through; the
+#                     lifetime/OOB slips the plain pass runs through (a
+#                     UBSan finding fails its test, like an ASan one); the
 #                     lockdep checker rides along and fails the pass on the
 #                     first lock-order inversion or domain-rule violation.
 #   3. tsan         — ThreadSanitizer over the whole suite: the DPU proxy
@@ -60,7 +61,7 @@ while [ $# -gt 0 ]; do
     --pass) pass="$2"; shift 2 ;;
     --pass=*) pass="${1#--pass=}"; shift ;;
     -h|--help)
-      sed -n '2,52p' "$0"; exit 0 ;;
+      sed -n '2,53p' "$0"; exit 0 ;;
     -*)
       echo "ci: unknown flag $1 (see --help)" >&2; exit 64 ;;
     *)
@@ -100,7 +101,11 @@ run_pass() {
 }
 
 pass_plain() { run_pass "$prefix-plain"; }
-pass_asan()  { run_pass "$prefix-asan" -DDPURPC_SANITIZE=address,undefined -DDPURPC_LOCKDEP=ON; }
+# UBSan findings are fatal (its checks recover and only print by default).
+pass_asan()  {
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    run_pass "$prefix-asan" -DDPURPC_SANITIZE=address,undefined -DDPURPC_LOCKDEP=ON
+}
 pass_tsan()  { run_pass "$prefix-tsan" -DDPURPC_SANITIZE=thread -DDPURPC_BUILD_BENCH=OFF; }
 pass_lint() {
   # lint.sh needs a configured tree (compile_commands.json) and builds
