@@ -1,6 +1,7 @@
 #include "grpccompat/dpu_proxy.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 
 #include "arena/arena.hpp"
@@ -119,7 +120,10 @@ Status DpuProxy::send_to_host(Lane& lane, SendOnce&& send_once, Gone&& gone) {
     if (attempt > kMaxSendAttempts) return st;
     auto pumped = lane.client.event_loop_once();
     if (!pumped.is_ok()) return pumped.status();
-    if (*pumped == 0) lane.conn->wait(1);
+    if (*pumped == 0) {
+      flush_replies(lane);  // never hold finished replies across a wait
+      lane.conn->wait(1);
+    }
     if (gone()) return st;
   }
 }
@@ -131,7 +135,11 @@ DpuProxy::DpuProxy(const std::vector<rdmarpc::Connection*>& conns,
                    const OffloadManifest* manifest, int codec_workers)
     : manifest_(manifest),
       deserializer_(&manifest->adt()),
-      serializer_(&manifest->adt()) {
+      serializer_(&manifest->adt()),
+      reply_writes_total_(&metrics::default_counter(
+          "dpurpc_xrpc_reply_writes_total",
+          "Socket writes carrying DPU proxy xRPC replies (coalesced per "
+          "connection per lane turn)")) {
   for (auto* conn : conns) {
     lanes_.push_back(std::make_unique<Lane>(conn, lanes_.size()));
   }
@@ -275,8 +283,7 @@ void DpuProxy::open_stream(Lane& lane, PendingCall event) {
   auto ps = std::make_unique<ProxyStream>();
   ps->method = event.method;
   ps->stream = std::move(event.stream);
-  ps->respond =
-      std::make_shared<xrpc::Server::Responder>(std::move(event.respond));
+  ps->respond = std::move(event.respond);
   ps->trace = event.trace;
   ps->open_ns = event.enqueue_ns;
   xrpc::ServerStream* stream = ps->stream.get();
@@ -541,7 +548,7 @@ void DpuProxy::maybe_finish_stream(Lane& lane, uint32_t stream_id) {
   Bytes marker(kStreamPrefixSize);
   write_stream_prefix(marker.data(), StreamPrefix{stream_id, ps.next_piece_seq,
                                                   kStreamPrefixEnd, 0});
-  auto respond = ps.respond;
+  xrpc::Responder respond = ps.respond;
   trace::TraceContext tctx = ps.trace;
   uint16_t method_id = ps.method->method_id;
   ++ps.rpcs_in_flight;  // keeps the entry pinned until the continuation
@@ -571,20 +578,21 @@ void DpuProxy::maybe_finish_stream(Lane& lane, uint32_t stream_id) {
     relaxed::add(stats_.stream_aborts, 1);
     // dpulint: allow(trace-pairing): end-marker send failure — the stream
     // never completed a datapath traversal, so no kComplete span exists.
-    (*respond)(st.code(), {});
+    lane.replies.add(respond, st.code(), {});
   }
 }
 
 void DpuProxy::fail_stream(Lane& lane, uint32_t stream_id, const Status& why) {
   auto it = lane.streams.find(stream_id);
   if (it == lane.streams.end()) return;
-  auto respond = it->second->respond;
+  xrpc::Responder respond = std::move(it->second->respond);
   retire_stream_hold(*it->second);
   lane.streams.erase(it);
   relaxed::add(stats_.stream_aborts, 1);
   // dpulint: allow(trace-pairing): failed stream — dropped before
   // completing a datapath traversal, so no kComplete span exists.
-  (*respond)(why.code() == Code::kOk ? Code::kInternal : why.code(), {});
+  lane.replies.add(respond, why.code() == Code::kOk ? Code::kInternal : why.code(),
+                   {});
 }
 
 Status DpuProxy::submit_decode(Lane& lane, PendingCall call) {
@@ -623,7 +631,7 @@ Status DpuProxy::submit_decode(Lane& lane, PendingCall call) {
   auto hint = static_cast<uint32_t>(
       std::min<uint64_t>(rdmarpc::kMaxPayloadSize, payload.size() * 4 + 256));
   return forward(
-      lane, entry, std::move(call.respond), call.trace, hint,
+      lane, entry, call.respond, call.trace, hint,
       [&](arena::Arena& arena, const arena::AddressTranslator& xlate)
           -> StatusOr<uint32_t> {
         auto obj = deserializer_.deserialize(entry->input_class, payload, arena, xlate);
@@ -632,18 +640,18 @@ Status DpuProxy::submit_decode(Lane& lane, PendingCall call) {
       });
 }
 
-void DpuProxy::complete_response(
-    Lane& lane, const std::shared_ptr<xrpc::Server::Responder>& respond,
-    const trace::TraceContext& tctx, const Status& result,
-    const rdmarpc::InMessage& resp) {
+void DpuProxy::complete_response(Lane& lane, const xrpc::Responder& respond,
+                                 const trace::TraceContext& tctx,
+                                 const Status& result,
+                                 const rdmarpc::InMessage& resp) {
   uint64_t t0 = tctx.active() ? WallTimer::now() : 0;
   relaxed::add(stats_.responses_forwarded, 1);
-  // kComplete is recorded BEFORE the responder writes the reply socket:
-  // the instant the client sees the response it records the root span and
-  // the collector may finalize the tree, so every server-side span must
-  // already be in its thread's ring by then. The write itself is covered
-  // client-side by kXrpcOutbound (which starts at the responder's send
-  // stamp).
+  // kComplete is recorded BEFORE the reply joins the lane's batch: the
+  // instant the client sees the response it records the root span and the
+  // collector may finalize the tree, so every server-side span must
+  // already be in its thread's ring by then. The batch wait and the write
+  // are covered client-side by kXrpcOutbound, which starts at the send
+  // stamp taken when the frame is appended.
   auto complete_span = [&] {
     if (tctx.active()) {
       trace::Tracer::instance().record(trace::Stage::kComplete, tctx, t0,
@@ -652,8 +660,16 @@ void DpuProxy::complete_response(
   };
   if (!result.is_ok()) {
     complete_span();
-    (*respond)(result.code(), {});
+    lane.replies.add(respond, result.code(), {});
   } else if ((resp.header.flags & rdmarpc::kFlagInPlaceObject) != 0) {
+    // The reply object crossed a trust boundary: a class index outside the
+    // shipped ADT is a malformed reply. Answer only this call with
+    // kDataLoss (the reject rule) rather than index past the class table.
+    if (resp.header.aux >= manifest_->adt().class_count()) {
+      complete_span();
+      lane.replies.add(respond, Code::kDataLoss, {});
+      return;
+    }
     // Offloaded response: the host handed back an object, not bytes.
     // A large one is serialized on the codec pool; the receive block is
     // acked the moment this continuation returns, so the object is copied
@@ -671,17 +687,16 @@ void DpuProxy::complete_response(
     Status st = serializer_.serialize(
         adt::ObjectRef(resp.header.aux, resp.payload_addr), wire);
     complete_span();
-    (*respond)(st.is_ok() ? Code::kOk : st.code(), ByteSpan(wire));
+    lane.replies.add(respond, st.is_ok() ? Code::kOk : st.code(), ByteSpan(wire));
   } else {
     complete_span();
-    (*respond)(Code::kOk, resp.payload);
+    lane.replies.add(respond, Code::kOk, resp.payload);
   }
 }
 
-bool DpuProxy::submit_encode(
-    Lane& lane, const std::shared_ptr<xrpc::Server::Responder>& respond,
-    const trace::TraceContext& tctx, const rdmarpc::InMessage& resp,
-    uint64_t submit_ns) {
+bool DpuProxy::submit_encode(Lane& lane, const xrpc::Responder& respond,
+                             const trace::TraceContext& tctx,
+                             const rdmarpc::InMessage& resp, uint64_t submit_ns) {
   const size_t bytes = resp.payload.size();
   dpu::ScratchSlice slice = dpu::ScratchSlice::allocate(bytes);
   if (!slice) return false;
@@ -724,9 +739,9 @@ void DpuProxy::finish_encoded(Lane& lane, dpu::CodecResult result) {
   }
   if (result.status.is_ok()) {
     relaxed::add(stats_.offloaded_responses, 1);
-    (*pending.respond)(Code::kOk, ByteSpan(result.wire));
+    lane.replies.add(pending.respond, Code::kOk, ByteSpan(result.wire));
   } else {
-    (*pending.respond)(result.status.code(), {});
+    lane.replies.add(pending.respond, result.status.code(), {});
   }
 }
 
@@ -752,13 +767,13 @@ Status DpuProxy::request_decoded(Lane& lane, dpu::CodecResult result) {
     relaxed::add(stats_.deserialize_failures, 1);
     // dpulint: allow(trace-pairing): decode-failure reject — the request
     // never completed a datapath traversal, so no kComplete span exists.
-    pending.respond(result.status.code(), {});
+    lane.replies.add(pending.respond, result.status.code(), {});
     return Status::ok();
   }
 
   const MethodEntry* entry = pending.method;
   return forward(
-      lane, entry, std::move(pending.respond), pending.trace, result.used,
+      lane, entry, pending.respond, pending.trace, result.used,
       // The tree is already decoded (fully local to the worker's scratch
       // slice); copy it into the block payload and rebase every pointer
       // into the host's address space. Equivalent to having deserialized
@@ -780,10 +795,9 @@ Status DpuProxy::request_decoded(Lane& lane, dpu::CodecResult result) {
 }
 
 Status DpuProxy::forward(Lane& lane, const MethodEntry* entry,
-                         xrpc::Server::Responder respond,
+                         const xrpc::Responder& respond,
                          const trace::TraceContext& tctx, uint32_t hint,
                          const rdmarpc::RpcClient::InPlaceBuilder& build) {
-  auto responder = std::make_shared<xrpc::Server::Responder>(std::move(respond));
   Status st = send_to_host(
       lane,
       [&] {
@@ -793,9 +807,9 @@ Status DpuProxy::forward(Lane& lane, const MethodEntry* entry,
             // Continuation: the copy-path response is already serialized by
             // the host; an offloaded response (kFlagInPlaceObject) arrives
             // as an in-place object the DPU serializes (§III.A extension).
-            [this, lane = &lane, responder, tctx](const Status& rpc_result,
-                                                  const rdmarpc::InMessage& resp) {
-              complete_response(*lane, responder, tctx, rpc_result, resp);
+            [this, lane = &lane, respond, tctx](const Status& rpc_result,
+                                                const rdmarpc::InMessage& resp) {
+              complete_response(*lane, respond, tctx, rpc_result, resp);
             },
             tctx);
       },
@@ -809,7 +823,7 @@ Status DpuProxy::forward(Lane& lane, const MethodEntry* entry,
   relaxed::add(stats_.deserialize_failures, 1);
   // dpulint: allow(trace-pairing): reject of a malformed or oversized
   // request — it never completed a datapath traversal, no kComplete span.
-  (*responder)(st.code(), {});
+  lane.replies.add(respond, st.code(), {});
   return Status::ok();
 }
 
@@ -826,28 +840,39 @@ void DpuProxy::fail_pending(Lane& lane) {
     retire_stream_hold(*ps);
     // dpulint: allow(trace-pairing): shutdown path — live streams are
     // failed wholesale; their traces are abandoned, not completed.
-    (*ps->respond)(Code::kUnavailable, {});
+    lane.replies.add(ps->respond, Code::kUnavailable, {});
   }
   lane.streams.clear();
   lane.pending_chunks.clear();
   for (auto& [cookie, pending] : lane.pending) {
     // dpulint: allow(trace-pairing): shutdown path — pending calls are
     // failed wholesale; their traces are abandoned, not completed.
-    pending.respond(Code::kUnavailable, {});
+    lane.replies.add(pending.respond, Code::kUnavailable, {});
   }
   lane.pending.clear();
   for (auto& [cookie, pending] : lane.pending_encodes) {
-    (*pending.respond)(Code::kUnavailable, {});
+    lane.replies.add(pending.respond, Code::kUnavailable, {});
   }
   lane.pending_encodes.clear();
   relaxed::store(lane.outstanding, 0);
+  flush_replies(lane);
+}
+
+void DpuProxy::flush_replies(Lane& lane) {
+  const size_t writes = lane.replies.flush();
+  if (writes == 0) return;
+  relaxed::add(stats_.reply_writes, writes);
+  reply_writes_total_->inc(writes);
 }
 
 void DpuProxy::poller_loop(Lane& lane) {
   // §IV: "the user is responsible for queueing enough requests to fill a
   // block before calling the event loop update function" — drain whatever
   // is queued into the codec pool, ship finished jobs, run one loop turn,
-  // then block briefly when idle.
+  // then block briefly when idle. A partial request block that opened
+  // while the host still owed replies keeps filling for up to
+  // RpcClient::kMaxHoldNs (PartialBlock::kHoldWhileBusy), so under load the
+  // host wakes once per block rather than once per few requests.
   while (!relaxed::load(stopping_)) {
     bool did_work = false;
     while (relaxed::load(lane.outstanding) < kMaxOutstandingJobs) {
@@ -880,13 +905,24 @@ void DpuProxy::poller_loop(Lane& lane) {
         return;
       }
     }
-    auto pumped = lane.client.event_loop_once();
+    auto pumped = lane.client.event_loop_once(
+        rdmarpc::RpcClient::PartialBlock::kHoldWhileBusy);
     if (!pumped.is_ok()) {
       fail_pending(lane);
       return;
     }
     if (*pumped > 0) did_work = true;
+    // End of the turn: one send per connection for every reply it
+    // finished, before anything below can block.
+    flush_replies(lane);
     if (!did_work) {
+      // A held request block ships at its deadline: wake for it.
+      const uint64_t hold = lane.client.hold_deadline_ns();
+      const uint64_t now = hold != 0 ? WallTimer::now() : 0;
+      if (hold > now) {
+        lane.conn->wait(std::chrono::microseconds((hold - now + 999) / 1000));
+        continue;
+      }
       // Blocking wait (poll()-style, §III.C) instead of busy-polling;
       // codec completions interrupt() us out of it.
       lane.conn->wait(1);

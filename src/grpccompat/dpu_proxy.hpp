@@ -44,6 +44,13 @@
 // cannot fit even a maximum-size block (kOutOfRange) is answered with
 // that status and touches nothing else; any other status is a transport
 // failure and fails the lane.
+//
+// Replies leave in batches (DESIGN.md §3.14, "the xRPC hop writes in
+// batches too"): every reply a lane finishes joins its xrpc::ReplyBatch,
+// and the lane writes each connection's frames with one send at the end
+// of the poller turn, before any wait, and on exit. Requests do too: a
+// partial request block that opened while the host owed replies keeps
+// filling for up to RpcClient::kMaxHoldNs before the lane ships it.
 #pragma once
 
 #include <atomic>
@@ -58,6 +65,7 @@
 #include "common/bounded_queue.hpp"
 #include "common/relaxed.hpp"
 #include "dpu/codec_pool.hpp"
+#include "metrics/metrics.hpp"
 #include "grpccompat/manifest.hpp"
 #include "grpccompat/stream_wire.hpp"
 #include "rdmarpc/client.hpp"
@@ -108,6 +116,12 @@ struct DpuProxyStats {
   /// Streams dropped before completion: client aborts, connection loss,
   /// malformed chunks, decode failures.
   std::atomic<uint64_t> stream_aborts{0};
+  /// Socket writes the lanes made for xRPC replies: one per connection
+  /// per turn, plus any forced by the batch's size cap. The reader
+  /// thread's direct NOT_FOUND answers are not counted.
+  /// responses_forwarded divided by this is the replies-per-write
+  /// coalescing factor.
+  std::atomic<uint64_t> reply_writes{0};
 };
 
 /// Per-stream resource policy (set_stream_options, before start()).
@@ -194,7 +208,7 @@ class DpuProxy {
     Kind kind = Kind::kCall;
     const MethodEntry* method = nullptr;
     Bytes payload;
-    xrpc::Server::Responder respond;
+    xrpc::Responder respond;
     std::shared_ptr<xrpc::ServerStream> stream;
     uint32_t stream_id = 0;
     Code abort_code = Code::kOk;
@@ -207,14 +221,14 @@ class DpuProxy {
   /// keyed by cookie.
   struct PendingDecode {
     const MethodEntry* method;
-    xrpc::Server::Responder respond;
+    xrpc::Responder respond;
     trace::TraceContext trace;
   };
   /// A reply whose object is out with the codec pool's encode direction;
   /// keyed by cookie (the cookie space is shared with decodes but the
   /// maps are separate, so no collision is possible).
   struct PendingEncode {
-    std::shared_ptr<xrpc::Server::Responder> respond;
+    xrpc::Responder respond;
     trace::TraceContext trace;
   };
 
@@ -231,7 +245,7 @@ class DpuProxy {
   struct ProxyStream {
     const MethodEntry* method = nullptr;
     std::shared_ptr<xrpc::ServerStream> stream;
-    std::shared_ptr<xrpc::Server::Responder> respond;
+    xrpc::Responder respond;
     trace::TraceContext trace;
     uint64_t open_ns = 0;  ///< kStreamTransfer start (reader enqueue stamp)
     uint64_t end_ns = 0;   ///< end-frame arrival: transfer/drain boundary
@@ -272,6 +286,9 @@ class DpuProxy {
     std::unordered_map<uint64_t, PendingEncode> pending_encodes;
     /// Live streams owned by this lane, keyed by proxy-wide stream id.
     std::unordered_map<uint32_t, std::unique_ptr<ProxyStream>> streams;
+    /// Replies finished during the current poller turn, written once per
+    /// connection before the lane next blocks (DESIGN.md §3, xRPC edge).
+    xrpc::ReplyBatch replies;
     /// kDecodeChunk cookie → (stream id, piece sequence). Kept separate
     /// from the stream entry so a result whose stream already died still
     /// retires its pool-budget slot (and its buffers free right here).
@@ -332,7 +349,7 @@ class DpuProxy {
   /// deserialize_failures; non-ok only on transport failure, which fails
   /// the lane.
   Status forward(Lane& lane, const MethodEntry* entry,
-                 xrpc::Server::Responder respond,
+                 const xrpc::Responder& respond,
                  const trace::TraceContext& tctx, uint32_t hint,
                  const rdmarpc::RpcClient::InPlaceBuilder& build);
   /// The one backpressure loop: run `send_once` (one RDMA send attempt) until
@@ -345,22 +362,23 @@ class DpuProxy {
   /// Shared RPC continuation tail: error → error reply; in-place object →
   /// lane-thread serialize (small object or pool-full spill) or encode
   /// offload; bytes → pass through.
-  void complete_response(Lane& lane,
-                         const std::shared_ptr<xrpc::Server::Responder>& respond,
+  void complete_response(Lane& lane, const xrpc::Responder& respond,
                          const trace::TraceContext& tctx, const Status& result,
                          const rdmarpc::InMessage& resp);
   /// Copy an in-place response object out of the receive block into a
   /// fully-local slice and hand it to the pool (try_submit) as an encode
   /// job. False when the job could not be submitted (budget/ring full,
   /// slice allocation failed): the caller serializes inline.
-  bool submit_encode(Lane& lane,
-                     const std::shared_ptr<xrpc::Server::Responder>& respond,
+  bool submit_encode(Lane& lane, const xrpc::Responder& respond,
                      const trace::TraceContext& tctx,
                      const rdmarpc::InMessage& resp, uint64_t submit_ns);
   /// Deliver a pool-serialized reply to its xRPC responder.
   void finish_encoded(Lane& lane, dpu::CodecResult result);
-  /// Fail every call still waiting on a pool job (shutdown/teardown).
+  /// Fail every call still waiting on a pool job (shutdown/teardown),
+  /// then write out every reply the lane still holds.
   void fail_pending(Lane& lane);
+  /// Write the lane's batched replies: one send per connection.
+  void flush_replies(Lane& lane);
 
   const OffloadManifest* manifest_;
   adt::ArenaDeserializer deserializer_;
@@ -376,6 +394,8 @@ class DpuProxy {
   std::unique_ptr<xrpc::Server> xrpc_server_;
   std::atomic<bool> stopping_{false};
   DpuProxyStats stats_;
+  /// Registry mirror of stats_.reply_writes (default registry).
+  metrics::Counter* reply_writes_total_;
 };
 
 }  // namespace dpurpc::grpccompat

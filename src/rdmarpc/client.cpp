@@ -84,7 +84,7 @@ Status RpcClient::call(uint16_t method_id, ByteSpan payload, Continuation done,
     trace::Tracer::instance().record(trace::Stage::kBlockBuild, tctx, t0,
                                      commit_ns, payload.size());
   }
-  open_block_requests_.push_back({std::move(done), tctx, commit_ns});
+  enqueue({std::move(done), tctx, commit_ns});
   return Status::ok();
 }
 
@@ -131,7 +131,7 @@ Status RpcClient::call_inplace(uint16_t method_id, uint16_t class_index,
         trace::Tracer::instance().record(trace::Stage::kBlockBuild, tctx, t0,
                                          commit_ns, *size);
       }
-      open_block_requests_.push_back({std::move(done), tctx, commit_ns});
+      enqueue({std::move(done), tctx, commit_ns});
       return Status::ok();
     }
     conn_->abort_message();
@@ -215,13 +215,21 @@ Status RpcClient::call_fragmented(uint16_t method_id, ByteSpan payload,
         trace::Tracer::instance().record(trace::Stage::kBlockBuild, tctx, t0,
                                          commit_ns, total);
       }
-      open_block_requests_.push_back({std::move(done), tctx, commit_ns});
+      enqueue({std::move(done), tctx, commit_ns});
     }
   }
   return Status::ok();
 }
 
-Status RpcClient::flush_open_block() {
+void RpcClient::enqueue(PendingRequest pending) {
+  if (open_block_requests_.empty()) {
+    open_ns_ = WallTimer::now();
+    open_while_busy_ = in_flight_count_ > 0;
+  }
+  open_block_requests_.push_back(std::move(pending));
+}
+
+Status RpcClient::flush_open_block(PartialBlock partial) {
   if (open_block_requests_.empty()) {
     // Nothing outgoing: deliver accumulated acks with a resource-free
     // pure-ack immediate when the peer might be starving for reclamation —
@@ -232,6 +240,14 @@ Status RpcClient::flush_open_block() {
     if (!force) return Status::ok();
     auto sent = conn_->send_pure_ack();
     return sent.is_ok() ? Status::ok() : sent.status();
+  }
+  // A full block never gets here (begin_message ships it), so a hold only
+  // ever delays a partial one.
+  const uint64_t hold =
+      partial == PartialBlock::kHoldWhileBusy ? hold_deadline_ns() : 0;
+  if (hold != 0 && hold > WallTimer::now() &&
+      conn_->pending_acks() < conn_->config().credits / 2) {
+    return Status::ok();
   }
   auto sent = conn_->flush();
   return sent.is_ok() ? Status::ok() : sent.status();
@@ -274,10 +290,11 @@ Status RpcClient::process_response_block(const Connection::ReceivedBlock& rb) {
   return Status::ok();
 }
 
-StatusOr<uint32_t> RpcClient::event_loop_once() {
+StatusOr<uint32_t> RpcClient::event_loop_once(PartialBlock partial) {
   // Batching contract (§IV): the user queues requests, then the loop ships
-  // them; partially-filled blocks are still sent to bound latency.
-  Status flushed = flush_open_block();
+  // them; partially-filled blocks are still sent to bound latency, unless
+  // the caller lets them fill while the peer is busy (kHoldWhileBusy).
+  Status flushed = flush_open_block(partial);
   if (!flushed.is_ok() && flushed.code() != Code::kUnavailable) return flushed;
 
   poll_scratch_.clear();
@@ -288,7 +305,7 @@ StatusOr<uint32_t> RpcClient::event_loop_once() {
     DPURPC_RETURN_IF_ERROR(process_response_block(rb));
   }
   // Push out accumulated acks / retry a credit-starved flush.
-  flushed = flush_open_block();
+  flushed = flush_open_block(partial);
   if (!flushed.is_ok() && flushed.code() != Code::kUnavailable) return flushed;
   return static_cast<uint32_t>(responses_received_) - before;
 }

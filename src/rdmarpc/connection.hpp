@@ -165,6 +165,7 @@ class Connection {
   /// Block on the completion channel (poll() analogue in the paper; busy
   /// polling wastes 100% CPU for ~10% gain, §III.C). False on timeout.
   bool wait(int timeout_ms) { return channel().wait(timeout_ms); }
+  bool wait(std::chrono::microseconds timeout) { return channel().wait(timeout); }
   void interrupt() { channel().interrupt(); }
   simverbs::CompletionChannel& channel() noexcept {
     return cfg_.shared_channel != nullptr ? *cfg_.shared_channel : own_channel_;

@@ -10,9 +10,9 @@ namespace dpurpc::simverbs {
 
 // ------------------------------------------------------------- channel
 
-bool CompletionChannel::wait(int timeout_ms) {
+bool CompletionChannel::wait(std::chrono::microseconds timeout) {
   lockdep::UniqueLock lk(mu_);
-  bool ok = cv_.wait_for(lk, std::chrono::milliseconds(timeout_ms),
+  bool ok = cv_.wait_for(lk, timeout,
                          [&] { return events_ > consumed_; });
   if (ok) consumed_ = events_;
   return ok;

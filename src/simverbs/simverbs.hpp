@@ -23,6 +23,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -105,9 +106,10 @@ struct RecvWr {
 /// a channel wake it whenever a completion arrives.
 class CompletionChannel {
  public:
-  /// Wait until any attached CQ has completions or `timeout_ms` elapses.
+  /// Wait until any attached CQ has completions or `timeout` elapses.
   /// Returns false on timeout.
-  bool wait(int timeout_ms);
+  bool wait(std::chrono::microseconds timeout);
+  bool wait(int timeout_ms) { return wait(std::chrono::milliseconds(timeout_ms)); }
 
   /// Wake all waiters regardless of CQ state (shutdown path).
   void interrupt();

@@ -18,14 +18,11 @@
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "trace/trace.hpp"
+#include "xrpc/reply.hpp"
 
 namespace dpurpc::xrpc {
 
 class ServerStream;
-
-/// Completes one call; thread-safe, callable once per request. For a
-/// streaming call this sends the *final* response, after the stream ends.
-using Responder = std::function<void(Code, ByteSpan payload)>;
 
 struct CallContext {
   /// Full method name, "pkg.Service/Method".

@@ -163,19 +163,17 @@ void Channel::finish_stream(const std::shared_ptr<StreamState>& st,
                                      resp.trace.send_ns, WallTimer::now(),
                                      resp.payload.size());
   }
-  size_t resp_bytes = resp.payload.size();
-  {
-    lockdep::ScopedLock lk(st->mu);
-    st->final_code = resp.status;
-    st->final_payload = std::move(resp.payload);
-    st->finished = true;
-    st->cv.notify_all();
-  }
   if (trace::enabled() && st->trace.active()) {
-    // Root span: open → final response, the stream's end-to-end time.
+    // Root span: open → final response, the stream's end-to-end time,
+    // closed before the waiting writer wakes (as for unary calls).
     trace::Tracer::instance().record_root(st->trace, st->start_ns,
-                                          WallTimer::now(), resp_bytes);
+                                          WallTimer::now(), resp.payload.size());
   }
+  lockdep::ScopedLock lk(st->mu);
+  st->final_code = resp.status;
+  st->final_payload = std::move(resp.payload);
+  st->finished = true;
+  st->cv.notify_all();
 }
 
 void Channel::reader_loop() {
@@ -226,13 +224,15 @@ void Channel::reader_loop() {
                                        WallTimer::now(),
                                        frame->response.payload.size());
     }
-    size_t resp_bytes = frame->response.payload.size();
-    call.cb(frame->response.status, std::move(frame->response.payload));
     if (trace::enabled() && call.trace.active()) {
-      // Root span: entry-point-observed end-to-end time, callback included.
+      // Root span: entry-point-observed end-to-end time, ending where the
+      // reply reaches the caller. The caller's own callback work is not
+      // datapath time and has no stage, so it stays outside e2e.
       trace::Tracer::instance().record_root(call.trace, call.start_ns,
-                                            WallTimer::now(), resp_bytes);
+                                            WallTimer::now(),
+                                            frame->response.payload.size());
     }
+    call.cb(frame->response.status, std::move(frame->response.payload));
   }
 }
 

@@ -35,7 +35,7 @@ class Channel {
   /// The channel is the datapath's trace entry point: when tracing is on,
   /// each call asks the Tracer for a (possibly head-sampled) context,
   /// ships it in the frame header, and records the root span when the
-  /// response callback returns.
+  /// response arrives, just before the callback runs.
   Status call_async(std::string_view method, ByteSpan payload, Callback done);
 
   /// Synchronous unary call (convenience for examples and tests).

@@ -46,13 +46,13 @@ Status write_request(const Fd& fd, uint32_t call_id, std::string_view method,
   return write_all(fd, frame.data(), frame.size());
 }
 
-Status write_response(const Fd& fd, uint32_t call_id, Code status, ByteSpan payload,
-                      const FrameTrace* trace) {
+void append_response(Bytes& out, uint32_t call_id, Code status, ByteSpan payload,
+                     const FrameTrace* trace) {
   bool traced = trace != nullptr && trace->active();
   uint32_t extra = traced ? kFrameTraceSize : 0;
   uint32_t body = static_cast<uint32_t>(1 + 4 + extra + 1 + payload.size());
-  Bytes frame(4 + body);
-  auto* p = reinterpret_cast<uint8_t*>(frame.data());
+  uint8_t head[kMaxResponseHeader];
+  uint8_t* p = head;
   store_le<uint32_t>(p, body);
   p += 4;
   *p++ = static_cast<uint8_t>(FrameType::kResponse) |
@@ -61,8 +61,9 @@ Status write_response(const Fd& fd, uint32_t call_id, Code status, ByteSpan payl
   p += 4;
   if (traced) p = put_trace(p, *trace);
   *p++ = static_cast<uint8_t>(status);
-  if (!payload.empty()) std::memcpy(p, payload.data(), payload.size());
-  return write_all(fd, frame.data(), frame.size());
+  const auto* h = reinterpret_cast<const std::byte*>(head);
+  out.insert(out.end(), h, h + (p - head));
+  out.insert(out.end(), payload.begin(), payload.end());
 }
 
 namespace {

@@ -83,8 +83,13 @@ struct StreamFrame {
 
 Status write_request(const Fd& fd, uint32_t call_id, std::string_view method,
                      ByteSpan payload, const FrameTrace* trace = nullptr);
-Status write_response(const Fd& fd, uint32_t call_id, Code status, ByteSpan payload,
-                      const FrameTrace* trace = nullptr);
+/// Largest response frame header: length, type, call id, trace, status.
+inline constexpr size_t kMaxResponseHeader = 4 + 1 + 4 + kFrameTraceSize + 1;
+
+/// Append one whole response frame to `out` — the one response encoder,
+/// used by both the direct and the coalesced reply path (reply.hpp).
+void append_response(Bytes& out, uint32_t call_id, Code status, ByteSpan payload,
+                     const FrameTrace* trace = nullptr);
 Status write_stream_open(const Fd& fd, uint32_t call_id, std::string_view method,
                          const FrameTrace* trace = nullptr);
 Status write_stream_chunk(const Fd& fd, uint32_t call_id, ByteSpan chunk);

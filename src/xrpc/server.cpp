@@ -77,22 +77,6 @@ trace::TraceContext note_inbound(const FrameTrace& ft, size_t wire_bytes) {
   return tctx;
 }
 
-/// The responder owns a reference to the connection so late async
-/// responses still have a live socket. It echoes the trace context so
-/// the client can attribute the response wire span.
-Responder make_responder(std::shared_ptr<ConnState> conn, uint32_t call_id,
-                         trace::TraceContext tctx) {
-  return [conn = std::move(conn), call_id, tctx](Code status, ByteSpan payload) {
-    lockdep::ScopedLock wl(conn->write_mu);
-    if (tctx.active()) {
-      FrameTrace ft{tctx.trace_id, tctx.parent_span_id, WallTimer::now()};
-      (void)write_response(conn->fd, call_id, status, payload, &ft);
-    } else {
-      (void)write_response(conn->fd, call_id, status, payload);
-    }
-  };
-}
-
 }  // namespace
 
 void Server::connection_loop(std::shared_ptr<ConnState> conn) {
@@ -109,7 +93,7 @@ void Server::connection_loop(std::shared_ptr<ConnState> conn) {
         uint32_t call_id = frame->request.call_id;
         trace::TraceContext tctx =
             note_inbound(frame->request.trace, frame->request.payload.size());
-        Responder respond = make_responder(conn, call_id, tctx);
+        Responder respond(conn, call_id, tctx);
         if (metrics_ != nullptr && frame->request.method == kMetricsMethod) {
           // Built-in scrape endpoint: answer inline, never reaches the
           // handler.
@@ -137,7 +121,7 @@ void Server::connection_loop(std::shared_ptr<ConnState> conn) {
         CallContext ctx;
         ctx.method = std::move(frame->stream.method);
         ctx.trace = tctx;
-        ctx.respond = make_responder(conn, call_id, tctx);
+        ctx.respond = Responder(conn, call_id, tctx);
         ctx.stream = std::move(stream);
         handler_(std::move(ctx));
         break;

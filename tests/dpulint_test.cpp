@@ -136,6 +136,18 @@ TEST(DpulintFixtures, RespondWithoutCompleteFlagged) {
   EXPECT_NE(findings[0].message.find("reject"), std::string::npos);
 }
 
+TEST(DpulintFixtures, BatchedRespondWithoutCompleteFlagged) {
+  // `replies.add(pending.respond, ...)` is a responder invocation too: the
+  // batched reply path is held to record-before-respond like a direct call.
+  Model m = load_fixture("violations/trace_pairing_batched");
+  auto findings = dpulint::run_checks(m, Policy{});
+  ASSERT_EQ(findings.size(), 1u) << dump(findings);
+  EXPECT_EQ(findings[0].rule, "trace-pairing");
+  EXPECT_EQ(findings[0].file,
+            "violations/trace_pairing_batched/src/grpccompat/dpu_proxy.cpp");
+  EXPECT_NE(findings[0].message.find("reject_batched"), std::string::npos);
+}
+
 TEST(DpulintFixtures, MalformedWaiverFlagged) {
   Model m = load_fixture("violations/waiver");
   auto findings = dpulint::run_checks(m, Policy{});

@@ -3,6 +3,8 @@
 // This is Fig. 1 of the paper as a running system.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -12,6 +14,7 @@
 #include "grpccompat/dpu_proxy.hpp"
 #include "grpccompat/host_service.hpp"
 #include "grpccompat/manifest.hpp"
+#include "metrics/metrics.hpp"
 #include "proto/schema_parser.hpp"
 #include "xrpc/channel.hpp"
 
@@ -668,6 +671,260 @@ TEST_F(OffloadFixture, StreamAbortMidTransferDrainsCleanly) {
     std::lock_guard<std::mutex> lk(mu);
     EXPECT_EQ(finished_stream.size(), records.size());
   }
+}
+
+// ------------------------------------------------- host reply trust boundary
+
+TEST_F(OffloadFixture, ReplyObjectWithOutOfRangeClassIsRejectedNotFatal) {
+  // A raw in-place handler answers with an object whose ADT class index
+  // (999) is not in the shipped manifest: 4096 B (codec-pool path) and
+  // 64 B (lane path). Each call gets kDataLoss, the next call on the
+  // channel is served, and the proxy keeps running.
+  const MethodEntry* get = dpu_manifest_->find_by_name("kv.KvStore/Get");
+  ASSERT_NE(get, nullptr);
+  std::atomic<uint32_t> reply_bytes{4096};
+  host_->rpc_server().register_inplace_handler(
+      get->method_id,
+      [&](const rdmarpc::RequestView&,
+          rdmarpc::RpcServer::Reserve& reserve) -> StatusOr<uint16_t> {
+        const uint32_t size = reply_bytes.load();
+        DPURPC_ASSIGN_OR_RETURN(auto space, reserve(size));
+        std::memset(space.data, 0, size);
+        return uint16_t{999};
+      });
+  ASSERT_TRUE(host_
+                  ->register_unary("kv.KvStore/Stats",
+                                   [](const ServerContext&, const adt::LayoutView& req,
+                                      proto::DynamicMessage& resp) {
+                                     resp.set_uint64(
+                                         resp.descriptor()->field_by_name("keys"),
+                                         req.repeated_size(1));
+                                     return Status::ok();
+                                   })
+                  .is_ok());
+  start_host_loop();
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+
+  Bytes key = to_bytes("\x0a\x01k");  // GetRequest{key: "k"}
+  Bytes small = to_bytes("\x08\x07");  // StatsRequest{shard_ids: [7]}
+  static_assert(4096 > kInlineCodecMaxBytes && 64 <= kInlineCodecMaxBytes);
+  for (uint32_t size : {4096u, 64u}) {
+    reply_bytes = size;
+    auto bad = (*chan)->call("kv.KvStore/Get", ByteSpan(key), 2000);
+    EXPECT_EQ(bad.status().code(), Code::kDataLoss)
+        << size << " B: " << bad.status().to_string();
+    auto good = (*chan)->call("kv.KvStore/Stats", ByteSpan(small), 2000);
+    ASSERT_TRUE(good.is_ok()) << size << " B: " << good.status().to_string();
+  }
+  EXPECT_EQ(host_->requests_served(), 4u);
+  EXPECT_EQ(proxy_->stats().offloaded_responses.load(), 0u);
+}
+
+// ---------------------------------------------------------- reply coalescing
+
+Status register_get_echo(HostEngine& host) {
+  return host.register_unary(
+      "kv.KvStore/Get", [](const ServerContext&, const adt::LayoutView& req,
+                           proto::DynamicMessage& resp) {
+        resp.set_string(resp.descriptor()->field_by_name("value"),
+                        std::string(req.get_string(1)) + "!");
+        resp.set_uint64(resp.descriptor()->field_by_name("found"), 1);
+        return Status::ok();
+      });
+}
+
+Bytes get_request(const proto::DescriptorPool& pool, const std::string& key) {
+  const auto* desc = pool.find_message("kv.GetRequest");
+  proto::DynamicMessage m(desc);
+  m.set_string(desc->field_by_name("key"), key);
+  return proto::WireCodec::serialize(m);
+}
+
+std::string get_value(const proto::DescriptorPool& pool, ByteSpan reply) {
+  proto::DynamicMessage r(pool.find_message("kv.GetResponse"));
+  EXPECT_TRUE(proto::WireCodec::parse(reply, r).is_ok());
+  return r.get_string(r.descriptor()->field_by_name("value"));
+}
+
+/// Waits for `n` async completions counted by `done()`.
+class Countdown {
+ public:
+  explicit Countdown(int n) : left_(n) {}
+  void done() {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (--left_ == 0) cv_.notify_all();
+  }
+  bool wait(int timeout_ms) {
+    std::unique_lock<std::mutex> lk(mu_);
+    return cv_.wait_for(lk, std::chrono::milliseconds(timeout_ms),
+                        [&] { return left_ == 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int left_;
+};
+
+TEST_F(OffloadFixture, PipelinedRepliesReachTheirOwnChannels) {
+  ASSERT_TRUE(register_get_echo(*host_).is_ok());
+  start_host_loop();
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+  constexpr int kChannels = 2, kCallsEach = 64;
+  std::vector<std::unique_ptr<xrpc::Channel>> chans;
+  for (int c = 0; c < kChannels; ++c) {
+    auto chan = xrpc::Channel::connect(*port);
+    ASSERT_TRUE(chan.is_ok());
+    chans.push_back(std::move(*chan));
+  }
+  // Both channels keep all their calls in flight at once, so the lane
+  // finishes replies for both connections in the same turns.
+  Countdown all(kChannels * kCallsEach);
+  std::atomic<int> right{0};
+  for (int i = 0; i < kCallsEach; ++i) {
+    for (int c = 0; c < kChannels; ++c) {
+      std::string key = "c" + std::to_string(c) + "-" + std::to_string(i);
+      Bytes wire = get_request(pool_, key);
+      ASSERT_TRUE(chans[c]
+                      ->call_async("kv.KvStore/Get", ByteSpan(wire),
+                                   [&, key](Code code, Bytes payload) {
+                                     if (code == Code::kOk &&
+                                         get_value(pool_, ByteSpan(payload)) ==
+                                             key + "!") {
+                                       ++right;
+                                     }
+                                     all.done();
+                                   })
+                      .is_ok());
+    }
+  }
+  ASSERT_TRUE(all.wait(10000));
+  EXPECT_EQ(right.load(), kChannels * kCallsEach);
+}
+
+TEST_F(OffloadFixture, PipelinedCallsShareReplyWrites) {
+  // The host holds its first call until the client has issued all 64, so
+  // the rest queue up and come back in shared response blocks; the lane
+  // then finishes several replies per turn and writes them together.
+  std::atomic<bool> all_sent{false};
+  std::atomic<bool> first{true};
+  ASSERT_TRUE(host_
+                  ->register_unary(
+                      "kv.KvStore/Get",
+                      [&](const ServerContext&, const adt::LayoutView& req,
+                          proto::DynamicMessage& resp) {
+                        if (first.exchange(false)) {
+                          for (int i = 0; i < 2000 && !all_sent.load(); ++i) {
+                            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                          }
+                        }
+                        resp.set_string(resp.descriptor()->field_by_name("value"),
+                                        std::string(req.get_string(1)) + "!");
+                        return Status::ok();
+                      })
+                  .is_ok());
+  start_host_loop();
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+  constexpr int kCalls = 64;
+  Countdown all(kCalls);
+  std::atomic<int> right{0};
+  for (int i = 0; i < kCalls; ++i) {
+    std::string key = "t" + std::to_string(i);
+    Bytes wire = get_request(pool_, key);
+    ASSERT_TRUE((*chan)
+                    ->call_async("kv.KvStore/Get", ByteSpan(wire),
+                                 [&, key](Code code, Bytes payload) {
+                                   if (code == Code::kOk &&
+                                       get_value(pool_, ByteSpan(payload)) == key + "!") {
+                                     ++right;
+                                   }
+                                   all.done();
+                                 })
+                    .is_ok());
+  }
+  all_sent = true;
+  ASSERT_TRUE(all.wait(10000));
+  EXPECT_EQ(right.load(), kCalls);
+  proxy_->stop();  // joins the lane: the counters are final
+  const uint64_t replies = proxy_->stats().responses_forwarded.load();
+  const uint64_t writes = proxy_->stats().reply_writes.load();
+  EXPECT_EQ(replies, static_cast<uint64_t>(kCalls));
+  EXPECT_GE(writes, 1u);
+  EXPECT_LT(writes, replies) << "no two replies shared a write";
+}
+
+TEST_F(OffloadFixture, SerialCallsAreNeverHeldBack) {
+  // One call in flight at a time: every reply is written in the turn that
+  // finished it, alone — coalescing never delays a lone reply.
+  ASSERT_TRUE(register_get_echo(*host_).is_ok());
+  start_host_loop();
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+  metrics::Counter& total = metrics::default_counter("dpurpc_xrpc_reply_writes_total", "");
+  const uint64_t total_before = total.value();
+  constexpr int kCalls = 20;
+  for (int i = 0; i < kCalls; ++i) {
+    std::string key = "s" + std::to_string(i);
+    Bytes wire = get_request(pool_, key);
+    auto resp = (*chan)->call("kv.KvStore/Get", ByteSpan(wire), 2000);
+    ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();
+    EXPECT_EQ(get_value(pool_, ByteSpan(*resp)), key + "!");
+  }
+  proxy_->stop();
+  EXPECT_EQ(proxy_->stats().reply_writes.load(), static_cast<uint64_t>(kCalls));
+  // The registry mirror moves with it (other proxies in this process may
+  // add to the process-wide counter, never subtract).
+  EXPECT_GE(total.value() - total_before, static_cast<uint64_t>(kCalls));
+}
+
+TEST_F(OffloadFixture, StopWithRepliesInFlightAnswersEachCallExactlyOnce) {
+  // stop() races a pipelined burst: some replies are delivered, some are
+  // still batched or in flight when the sockets close. Every call must be
+  // answered exactly once — its reply, or kUnavailable — and nothing else.
+  ASSERT_TRUE(register_get_echo(*host_).is_ok());
+  start_host_loop();
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+  constexpr int kCalls = 200;
+  std::vector<std::atomic<int>> answers(kCalls);
+  std::atomic<int> ok{0}, unavailable{0}, other{0};
+  Bytes wire = get_request(pool_, "burst");
+  for (int i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE((*chan)
+                    ->call_async("kv.KvStore/Get", ByteSpan(wire),
+                                 [&, i](Code code, Bytes) {
+                                   ++answers[i];
+                                   if (code == Code::kOk) {
+                                     ++ok;
+                                   } else if (code == Code::kUnavailable) {
+                                     ++unavailable;
+                                   } else {
+                                     ++other;
+                                   }
+                                 })
+                    .is_ok());
+  }
+  proxy_->stop();
+  (*chan)->close();  // fails every call whose reply never arrived
+  for (int i = 0; i < kCalls; ++i) EXPECT_EQ(answers[i].load(), 1) << "call " << i;
+  EXPECT_EQ(ok.load() + unavailable.load(), kCalls);
+  EXPECT_EQ(other.load(), 0);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <set>
 #include <thread>
 
+#include "common/cpu_timer.hpp"
 #include "common/rng.hpp"
 #include "metrics/metrics.hpp"
 #include "rdmarpc/block.hpp"
@@ -782,6 +783,56 @@ TEST(Integration, IdSyncSurvivesAutoFlushedBlocks) {
   EXPECT_EQ(f.client.responses_received(), sent);
   // Many more blocks than engine-initiated flushes -> auto-flush exercised.
   EXPECT_GT(f.client_conn.tx_counters().ops.load(), 100u);
+}
+
+TEST(Integration, PartialBlockIsHeldOnlyWhileThePeerOwesReplies) {
+  Fabric f;
+  register_echo(f.server);
+  using Partial = RpcClient::PartialBlock;
+  auto echo = [&](std::string_view payload) {
+    return f.client.call(kEcho, as_bytes_view(payload),
+                         [](const Status& st, const InMessage&) {
+                           EXPECT_TRUE(st.is_ok());
+                         });
+  };
+  auto blocks_sent = [&] { return f.client_conn.tx_counters().ops.load(); };
+
+  // The peer owes nothing: a lone request ships on the first turn.
+  ASSERT_TRUE(echo("first").is_ok());
+  EXPECT_EQ(f.client.hold_deadline_ns(), 0u);
+  ASSERT_TRUE(f.client.event_loop_once(Partial::kHoldWhileBusy).is_ok());
+  EXPECT_EQ(f.client.enqueued_unflushed(), 0u);
+  EXPECT_EQ(f.client.in_flight(), 1u);
+  const uint64_t after_first = blocks_sent();
+
+  // "first" is still at the peer, so the next block may keep filling.
+  const uint64_t t0 = WallTimer::now();
+  ASSERT_TRUE(echo("second").is_ok());
+  ASSERT_TRUE(echo("third").is_ok());
+  const uint64_t deadline = f.client.hold_deadline_ns();
+  EXPECT_GE(deadline, t0 + RpcClient::kMaxHoldNs);
+  ASSERT_TRUE(f.client.event_loop_once(Partial::kHoldWhileBusy).is_ok());
+  if (WallTimer::now() < deadline) {  // a slow turn may already be past it
+    EXPECT_EQ(f.client.enqueued_unflushed(), 2u);
+    EXPECT_EQ(blocks_sent(), after_first);
+  }
+
+  // Past the deadline the same turn ships both requests in one block.
+  while (WallTimer::now() <= deadline) std::this_thread::yield();
+  ASSERT_TRUE(f.client.event_loop_once(Partial::kHoldWhileBusy).is_ok());
+  EXPECT_EQ(f.client.enqueued_unflushed(), 0u);
+  EXPECT_EQ(blocks_sent(), after_first + 1);
+  EXPECT_EQ(f.client.hold_deadline_ns(), 0u);
+  ASSERT_TRUE(f.pump_until(3).is_ok());
+
+  // A block that fills ships at once, hold or not.
+  ASSERT_TRUE(echo("busy").is_ok());
+  ASSERT_TRUE(f.client.event_loop_once(Partial::kHoldWhileBusy).is_ok());
+  const uint64_t before_fill = blocks_sent();
+  const std::string big(1000, 'x');
+  for (int i = 0; i < 12; ++i) ASSERT_TRUE(echo(big).is_ok());  // > 8 KiB
+  EXPECT_GT(blocks_sent(), before_fill);
+  ASSERT_TRUE(f.pump_until(16).is_ok());
 }
 
 TEST(Integration, LatencyHistogramPopulatedWhenInstrumented) {

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cpu_timer.hpp"
 #include "common/endian.hpp"
 #include "common/rng.hpp"
 #include "xrpc/channel.hpp"
@@ -538,6 +539,190 @@ TEST(FrameReader, MegabyteStreamChunkRoundTrips) {
   ASSERT_TRUE(end.is_ok()) << end.status().to_string();
   EXPECT_EQ(end->type, FrameType::kStreamEnd);
   EXPECT_EQ(end->stream.call_id, 9u);
+}
+
+// ------------------------------------------------------------- ReplyBatch
+
+/// One end of a socket pair as a server connection; the other end reads.
+struct ReplyConn {
+  std::shared_ptr<ConnState> conn;
+  Fd reader;
+};
+
+ReplyConn reply_conn() {
+  auto [writer, reader] = socket_pair();
+  auto conn = std::make_shared<ConnState>();
+  conn->fd = std::move(writer);
+  return {std::move(conn), std::move(reader)};
+}
+
+void expect_response(StatusOr<AnyFrame>& frame, uint32_t call_id, Code status,
+                     std::string_view payload) {
+  ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
+  ASSERT_EQ(frame->type, FrameType::kResponse);
+  EXPECT_EQ(frame->response.call_id, call_id);
+  EXPECT_EQ(frame->response.status, status);
+  EXPECT_TRUE(as_string_view(ByteSpan(frame->response.payload)) == payload)
+      << "call " << call_id;
+}
+
+TEST(ReplyBatch, EachConnectionGetsItsOwnFramesInAddOrder) {
+  ReplyConn a = reply_conn();
+  ReplyConn b = reply_conn();
+  ReplyBatch batch;
+  // Interleaved across two connections, the way a lane finishes calls.
+  batch.add(Responder(a.conn, 1, {}), Code::kOk, as_bytes_view("a1"));
+  batch.add(Responder(b.conn, 1, {}), Code::kOk, as_bytes_view("b1"));
+  batch.add(Responder(a.conn, 2, {}), Code::kDataLoss, {});
+  batch.add(Responder(b.conn, 7, {}), Code::kOk, as_bytes_view("b7"));
+  batch.add(Responder(a.conn, 3, {}), Code::kOk, as_bytes_view("a3"));
+  EXPECT_EQ(batch.flush(), 2u);  // one send per connection
+  EXPECT_EQ(batch.flush(), 0u);  // nothing left
+
+  FrameReader ra(a.reader);
+  auto a1 = ra.next();
+  auto a2 = ra.next();
+  auto a3 = ra.next();
+  expect_response(a1, 1, Code::kOk, "a1");
+  expect_response(a2, 2, Code::kDataLoss, "");
+  expect_response(a3, 3, Code::kOk, "a3");
+  FrameReader rb(b.reader);
+  auto b1 = rb.next();
+  auto b7 = rb.next();
+  expect_response(b1, 1, Code::kOk, "b1");
+  expect_response(b7, 7, Code::kOk, "b7");
+}
+
+TEST(ReplyBatch, BatchedFrameIsByteIdenticalToADirectReply) {
+  ReplyConn direct = reply_conn();
+  ReplyConn batched = reply_conn();
+  const std::string payload = "same bytes either way";
+  Responder(direct.conn, 42, {})(Code::kOk, as_bytes_view(payload));
+  ReplyBatch batch;
+  batch.add(Responder(batched.conn, 42, {}), Code::kOk, as_bytes_view(payload));
+  ASSERT_EQ(batch.flush(), 1u);
+  const size_t frame_bytes = 4 + 1 + 4 + 1 + payload.size();
+  Bytes x(frame_bytes), y(frame_bytes);
+  ASSERT_TRUE(read_all(direct.reader, x.data(), x.size()).is_ok());
+  ASSERT_TRUE(read_all(batched.reader, y.data(), y.size()).is_ok());
+  EXPECT_EQ(x, y);
+}
+
+TEST(ReplyBatch, ClosedPeerLosesOnlyItsOwnReplies) {
+  ReplyConn gone = reply_conn();
+  ReplyConn live = reply_conn();
+  ReplyBatch batch;
+  batch.add(Responder(gone.conn, 1, {}), Code::kOk, as_bytes_view("lost"));
+  batch.add(Responder(live.conn, 1, {}), Code::kOk, as_bytes_view("kept"));
+  gone.reader.reset();  // the client closes before the flush
+  batch.flush();        // no crash, no SIGPIPE
+  // The batch keeps serving the surviving connection.
+  batch.add(Responder(gone.conn, 2, {}), Code::kOk, as_bytes_view("lost too"));
+  batch.add(Responder(live.conn, 2, {}), Code::kOk, as_bytes_view("next"));
+  batch.flush();
+  FrameReader reader(live.reader);
+  auto first = reader.next();
+  auto second = reader.next();
+  expect_response(first, 1, Code::kOk, "kept");
+  expect_response(second, 2, Code::kOk, "next");
+}
+
+TEST(ReplyBatch, OverCapBatchFlushesMidTurnAndEveryFrameArrivesIntact) {
+  ReplyConn c = reply_conn();
+  std::mt19937_64 rng(kDefaultSeed);
+  // ~3.5 buffers of 10 KB frames, with one frame larger than the whole
+  // buffer in the middle (written on its own, still in order).
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 24; ++i) payloads.push_back(random_bytes(rng, 10000));
+  payloads[11] = random_bytes(rng, FrameReader::kBufferBytes + 5000);
+  std::vector<StatusOr<AnyFrame>> got;
+  std::thread reader_thread([&] {
+    FrameReader reader(c.reader);
+    for (size_t i = 0; i < payloads.size(); ++i) got.push_back(reader.next());
+  });
+  ReplyBatch batch;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    batch.add(Responder(c.conn, static_cast<uint32_t>(i), {}), Code::kOk,
+              as_bytes_view(payloads[i]));
+  }
+  const size_t sends = batch.flush();
+  reader_thread.join();
+  // Sends happened mid-turn at the cap: more than one write, far fewer
+  // than one per frame.
+  EXPECT_GT(sends, 2u);
+  EXPECT_LT(sends, payloads.size() / 2);
+  ASSERT_EQ(got.size(), payloads.size());
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    expect_response(got[i], static_cast<uint32_t>(i), Code::kOk, payloads[i]);
+  }
+}
+
+TEST(ReplyBatch, FanOutToManyConnectionsKeepsOrderAndBoundsRetainedMemory) {
+  constexpr int kConns = 100;
+  constexpr uint32_t kPerConn = 3;
+  std::vector<ReplyConn> conns;
+  for (int i = 0; i < kConns; ++i) conns.push_back(reply_conn());
+  ReplyBatch batch;
+  // Round-robin, so no two adds in a row share a connection.
+  for (uint32_t call = 1; call <= kPerConn; ++call) {
+    for (int i = 0; i < kConns; ++i) {
+      const std::string payload = std::to_string(i) + "/" + std::to_string(call);
+      batch.add(Responder(conns[i].conn, call, {}), Code::kOk, as_bytes_view(payload));
+    }
+  }
+  EXPECT_EQ(batch.flush(), static_cast<size_t>(kConns));  // one send each
+  for (int i = 0; i < kConns; ++i) {
+    FrameReader reader(conns[i].reader);
+    for (uint32_t call = 1; call <= kPerConn; ++call) {
+      auto frame = reader.next();
+      expect_response(frame, call, Code::kOk,
+                      std::to_string(i) + "/" + std::to_string(call));
+    }
+  }
+  EXPECT_LE(batch.retained_bytes(), FrameReader::kBufferBytes);
+
+  // Large replies to several connections: after the flush the batch keeps
+  // at most kBufferBytes of buffer, not one large buffer per connection.
+  std::mt19937_64 rng(kDefaultSeed);
+  const std::string big = random_bytes(rng, 40000);
+  for (int i = 0; i < 4; ++i) {
+    batch.add(Responder(conns[i].conn, 9, {}), Code::kOk, as_bytes_view(big));
+  }
+  EXPECT_EQ(batch.flush(), 4u);
+  EXPECT_LE(batch.retained_bytes(), FrameReader::kBufferBytes);
+  for (int i = 0; i < 4; ++i) {
+    FrameReader reader(conns[i].reader);
+    auto frame = reader.next();
+    expect_response(frame, 9, Code::kOk, big);
+  }
+  // The connection references went with the flush: the batch pins no
+  // socket.
+  for (const ReplyConn& c : conns) EXPECT_EQ(c.conn.use_count(), 1);
+}
+
+TEST(ReplyBatch, TracedReplyCarriesFrameTraceStampedAtAppend) {
+  ReplyConn c = reply_conn();
+  trace::TraceContext tctx{0xabc, 0xdef};
+  ReplyBatch batch;
+  const uint64_t before = WallTimer::now();
+  batch.add(Responder(c.conn, 5, tctx), Code::kOk, as_bytes_view("traced"));
+  const uint64_t appended = WallTimer::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  batch.add(Responder(c.conn, 6, {}), Code::kOk, as_bytes_view("plain"));
+  ASSERT_EQ(batch.flush(), 1u);
+  FrameReader reader(c.reader);
+  auto traced = reader.next();
+  auto plain = reader.next();
+  expect_response(traced, 5, Code::kOk, "traced");
+  expect_response(plain, 6, Code::kOk, "plain");
+  ASSERT_TRUE(traced->response.trace.active());
+  EXPECT_EQ(traced->response.trace.trace_id, 0xabcu);
+  EXPECT_EQ(traced->response.trace.span_id, 0xdefu);
+  // The send stamp is the append instant, not the later flush: time spent
+  // in the batch belongs to the client's xrpc_outbound span.
+  EXPECT_GE(traced->response.trace.send_ns, before);
+  EXPECT_LE(traced->response.trace.send_ns, appended);
+  EXPECT_FALSE(plain->response.trace.active());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cctype>
 #include <deque>
+#include <string_view>
 
 namespace dpulint {
 
@@ -313,6 +314,10 @@ void check_trace_stages(const Model& m, const Policy& p,
   }
 }
 
+/// The reply batch's append call: `add(respond, ...)` hands the responder
+/// to xrpc::ReplyBatch::add, which counts as invoking it.
+constexpr std::string_view kBatchAddName = "add";
+
 void check_trace_pairing(const Model& m, const Policy& p,
                          std::vector<Finding>* out) {
   if (!p.check_trace) return;
@@ -320,7 +325,9 @@ void check_trace_pairing(const Model& m, const Policy& p,
     const SourceFile& f = m.files[fn.file_index];
     if (!in_suffix_list(f.path, p.responder_files)) continue;
     const auto& toks = f.toks;
-    // First responder invocation in the body: `respond(` or `(*respond)(`.
+    // First responder invocation in the body: `respond(`, `(*respond)(`,
+    // or a batched reply `add(respond, ...)` (the responder as the first
+    // argument of the reply batch's add).
     size_t invoke = 0;
     for (size_t i = fn.body_begin; i + 1 < fn.body_end; ++i) {
       if (toks[i].kind != Token::Kind::kIdent ||
@@ -333,7 +340,21 @@ void check_trace_pairing(const Model& m, const Policy& p,
                    toks[i + 1].text == ")" && i + 2 < fn.body_end &&
                    toks[i + 2].kind == Token::Kind::kPunct &&
                    toks[i + 2].text == "(";
-      if (direct || deref) {
+      // Batched: walk back over a member chain (`pending.respond`,
+      // `ps->respond`) to the call's `add(`.
+      size_t j = i;
+      while (j >= fn.body_begin + 2 && toks[j - 1].kind == Token::Kind::kPunct &&
+             (toks[j - 1].text == "." || toks[j - 1].text == "->") &&
+             toks[j - 2].kind == Token::Kind::kIdent) {
+        j -= 2;
+      }
+      bool batched = toks[i + 1].kind == Token::Kind::kPunct &&
+                     toks[i + 1].text == "," && j >= fn.body_begin + 2 &&
+                     toks[j - 1].kind == Token::Kind::kPunct &&
+                     toks[j - 1].text == "(" &&
+                     toks[j - 2].kind == Token::Kind::kIdent &&
+                     toks[j - 2].text == kBatchAddName;
+      if (direct || deref || batched) {
         invoke = i;
         break;
       }
