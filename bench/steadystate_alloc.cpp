@@ -9,31 +9,52 @@
 // offloaded datapath. Steady state should approach zero: payload memory
 // comes exclusively from the preallocated pinned buffers (block arenas),
 // and engine bookkeeping reuses pooled storage.
+//
+// The second table runs the whole offloaded datapath — xRPC client →
+// DpuProxy lane → RPC over RDMA → host engine → back — with synchronous
+// calls, and counts only the server side's allocations (every thread but
+// the caller and the channel's reader). It exits non-zero when a Tiny
+// call allocates more than kTinyServerAllocGate on the server side.
 #include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <new>
+#include <thread>
 
 #include "bench_util.hpp"
+#include "grpccompat/dpu_proxy.hpp"
+#include "grpccompat/host_service.hpp"
+#include "grpccompat/manifest.hpp"
 #include "rdmarpc/client.hpp"
 #include "rdmarpc/connection.hpp"
 #include "rdmarpc/server.hpp"
+#include "xrpc/channel.hpp"
 
 namespace {
 std::atomic<uint64_t> g_allocs{0};
 std::atomic<uint64_t> g_alloc_bytes{0};
+/// Allocations made by threads not marked as the client's.
+std::atomic<uint64_t> g_server_allocs{0};
+thread_local bool t_client_thread = false;
+
+void count_alloc(size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (!t_client_thread) g_server_allocs.fetch_add(1, std::memory_order_relaxed);
+}
 }  // namespace
 
 void* operator new(size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  count_alloc(size);
   g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 void* operator new(size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  count_alloc(size);
   void* p = std::aligned_alloc(static_cast<size_t>(align),
                                dpurpc::align_up(size, static_cast<size_t>(align)));
   if (p == nullptr) throw std::bad_alloc();
@@ -55,6 +76,168 @@ struct Phase {
   uint64_t allocs;
   uint64_t bytes;
 };
+
+// ------------------------------------------ xRPC → DpuProxy → host rows
+
+constexpr std::string_view kXrpcSchema = R"(
+syntax = "proto3";
+package alloc;
+message Small { int32 id = 1; bool flag = 2; float score = 3; uint64 stamp = 4; }
+message IntArray { repeated uint32 values = 1; uint64 stamp = 2; }
+message Ack { uint64 stamp = 1; uint64 count = 2; }
+service Datapath {
+  rpc Tiny (Small) returns (Ack);
+  rpc Ints (IntArray) returns (Ack);
+  rpc Fetch (Small) returns (IntArray);
+}
+)";
+constexpr uint32_t kFetchValues = 4096;
+constexpr size_t kIntsValues = 4096;
+
+/// Server-side heap allocations per Tiny call after warm-up: 1.70 when
+/// the gate was set (one host block tracker per call plus simverbs and
+/// rdmarpc deque nodes; the xRPC edge and the proxy lane allocate
+/// nothing), plus 0.5.
+constexpr double kTinyServerAllocGate = 2.2;
+
+/// Waits for one asynchronous reply; marks the channel's reader thread
+/// as client-side the first time it runs a callback.
+class Reply {
+ public:
+  xrpc::Channel::Callback callback() {
+    return [this](Code code, Bytes) {
+      t_client_thread = true;
+      std::lock_guard<std::mutex> lk(mu_);
+      ok_ = code == Code::kOk;
+      done_ = true;
+      cv_.notify_one();
+    };
+  }
+  bool wait() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return done_; });
+    done_ = false;
+    return ok_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  bool ok_ = false;
+};
+
+/// Runs the three rows; false if a call failed or the Tiny gate tripped.
+bool run_xrpc_rows() {
+  proto::DescriptorPool pool;
+  proto::SchemaParser parser(pool);
+  if (!parser.parse_and_link(kXrpcSchema).is_ok()) return false;
+  auto manifest = grpccompat::OffloadManifest::build(pool, arena::StdLibFlavor::kLibstdcpp);
+  if (!manifest.is_ok()) return false;
+  simverbs::ProtectionDomain dpu_pd("dpu"), host_pd("host");
+  rdmarpc::Connection dpu_conn(rdmarpc::Role::kClient, &dpu_pd, {});
+  rdmarpc::Connection host_conn(rdmarpc::Role::kServer, &host_pd, {});
+  if (!rdmarpc::Connection::connect(dpu_conn, host_conn).is_ok()) return false;
+  grpccompat::HostEngine host(&host_conn, &*manifest, &pool);
+  using grpccompat::ServerContext;
+  bool registered =
+      host.register_unary_object(
+              "alloc.Datapath/Tiny",
+              [](const ServerContext&, const adt::LayoutView& req, adt::LayoutBuilder& resp) {
+                DPURPC_RETURN_IF_ERROR(resp.set_uint64(1, req.get_uint64(4)));
+                return resp.set_uint64(2, static_cast<uint64_t>(req.get_int64(1)));
+              })
+          .is_ok() &&
+      host.register_unary_object(
+              "alloc.Datapath/Ints",
+              [](const ServerContext&, const adt::LayoutView& req, adt::LayoutBuilder& resp) {
+                DPURPC_RETURN_IF_ERROR(resp.set_uint64(1, req.get_uint64(2)));
+                return resp.set_uint64(2, req.repeated_size(1));
+              })
+          .is_ok() &&
+      host.register_unary_object(
+              "alloc.Datapath/Fetch",
+              [](const ServerContext&, const adt::LayoutView& req, adt::LayoutBuilder& resp) {
+                for (uint32_t i = 0; i < kFetchValues; ++i) {
+                  DPURPC_RETURN_IF_ERROR(resp.add_scalar(1, (i * 2654435761u) >> (i % 5 * 7)));
+                }
+                return resp.set_uint64(2, req.get_uint64(4));
+              })
+          .is_ok();
+  if (!registered) return false;
+  std::atomic<bool> stop{false};
+  std::thread host_thread([&] {
+    while (!stop.load()) {
+      auto n = host.event_loop_once();
+      if (!n.is_ok()) return;
+      if (*n == 0) host.wait(1);
+    }
+  });
+  grpccompat::DpuProxy proxy(&dpu_conn, &*manifest);
+  auto port = proxy.start();
+  t_client_thread = true;  // this thread is the caller
+  auto chan = port.is_ok() ? xrpc::Channel::connect(*port)
+                           : StatusOr<std::unique_ptr<xrpc::Channel>>(port.status());
+
+  const auto* small = pool.find_message("alloc.Small");
+  proto::DynamicMessage tiny(small);
+  tiny.set_int64(small->field_by_name("id"), 7);
+  tiny.set_uint64(small->field_by_name("stamp"), 42);
+  const Bytes tiny_wire = proto::WireCodec::serialize(tiny);
+  const auto* ints_desc = pool.find_message("alloc.IntArray");
+  proto::DynamicMessage ints(ints_desc);
+  std::mt19937_64 rng(kDefaultSeed);
+  SkewedVarintDistribution dist;
+  for (size_t i = 0; i < kIntsValues; ++i) {
+    ints.add_uint64(ints_desc->field_by_name("values"), dist(rng));
+  }
+  const Bytes ints_wire = proto::WireCodec::serialize(ints);
+
+  bool ok = chan.is_ok();
+  Reply reply;
+  auto run = [&](const char* method, const Bytes& wire, uint64_t calls) -> double {
+    uint64_t a0 = g_server_allocs.load();
+    for (uint64_t i = 0; ok && i < calls; ++i) {
+      ok = (*chan)->call_async(method, ByteSpan(wire), reply.callback()).is_ok() &&
+           reply.wait();
+    }
+    return static_cast<double>(g_server_allocs.load() - a0) / static_cast<double>(calls);
+  };
+  std::printf("\nServer-side heap allocations per call, xRPC -> DpuProxy -> host\n");
+  std::printf("(synchronous calls; every thread but the caller and the channel reader)\n\n");
+  std::printf("%-10s %10s %18s\n", "call", "calls", "server allocs/call");
+  struct Row {
+    const char* name;
+    const char* method;
+    const Bytes* wire;
+  };
+  double tiny_allocs = 0;
+  for (const Row& row : {Row{"Tiny", "alloc.Datapath/Tiny", &tiny_wire},
+                         Row{"Ints", "alloc.Datapath/Ints", &ints_wire},
+                         Row{"Fetch", "alloc.Datapath/Fetch", &tiny_wire}}) {
+    run(row.method, *row.wire, bench::smoke_scaled(2000, 200));  // warm-up
+    const uint64_t calls = bench::smoke_scaled(20000, 1000);
+    const double per_call = run(row.method, *row.wire, calls);
+    if (row.name == std::string_view("Tiny")) tiny_allocs = per_call;
+    std::printf("%-10s %10llu %18.3f\n", row.name, static_cast<unsigned long long>(calls),
+                per_call);
+  }
+  if (chan.is_ok()) (*chan)->close();
+  proxy.stop();
+  stop.store(true);
+  host_conn.interrupt();
+  host_thread.join();
+  if (!ok) {
+    std::printf("FAIL: a call through the datapath failed\n");
+    return false;
+  }
+  if (tiny_allocs > kTinyServerAllocGate) {
+    std::printf("FAIL: Tiny server-side allocations per call %.3f > gate %.2f\n",
+                tiny_allocs, kTinyServerAllocGate);
+    return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -138,5 +321,5 @@ int main() {
   std::printf("\nPayload memory never touches the heap (block arenas only); the\n");
   std::printf("residual allocs/request above come from engine bookkeeping and\n");
   std::printf("should be ~0 in steady state.\n");
-  return 0;
+  return run_xrpc_rows() ? 0 : 1;
 }

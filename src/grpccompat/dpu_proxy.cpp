@@ -118,10 +118,14 @@ Status DpuProxy::send_to_host(Lane& lane, SendOnce&& send_once, Gone&& gone) {
     // Backpressure (no RDMA credit, full send buffer or ID pool): drain
     // the event loop and retry. Continuations run inside the pump.
     if (attempt > kMaxSendAttempts) return st;
+    // dpulint: allow(hot-path): backpressure only (no credit, send buffer
+    // or request id): the lane's own event-loop turn, run early.
     auto pumped = lane.client.event_loop_once();
     if (!pumped.is_ok()) return pumped.status();
     if (*pumped == 0) {
       flush_replies(lane);  // never hold finished replies across a wait
+      // dpulint: allow(hot-path): backpressure only — §III.C's blocking
+      // poll on the completion channel until the host frees credit.
       lane.conn->wait(1);
     }
     if (gone()) return st;
@@ -158,26 +162,23 @@ DpuProxy::DpuProxy(const std::vector<rdmarpc::Connection*>& conns,
 DpuProxy::~DpuProxy() { stop(); }
 
 StatusOr<uint16_t> DpuProxy::start() {
-  auto server = xrpc::Server::start(
-      xrpc::CallHandler([this](xrpc::CallContext ctx) { handle_call(std::move(ctx)); }),
-      &metrics::default_registry());
-  if (!server.is_ok()) return server.status();
-  xrpc_server_ = std::move(*server);
+  auto listener = xrpc::Listener::create();
+  if (!listener.is_ok()) return listener.status();
+  listener_ = std::make_unique<xrpc::Listener>(std::move(*listener));
   pool_->start();
   for (auto& lane : lanes_) {
     lane->thread = std::thread([this, lane = lane.get()] { poller_loop(*lane); });
   }
-  return xrpc_server_->port();
+  acceptor_ = std::thread([this] { accept_loop(); });
+  return listener_->port();
 }
 
 void DpuProxy::stop() {
-  bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) return;
-  if (xrpc_server_) xrpc_server_->shutdown();
-  for (auto& lane : lanes_) {
-    lane->queue.close();
-    lane->conn->interrupt();
-  }
+  if (stopped_.exchange(true)) return;
+  relaxed::store(stopping_, true);
+  if (listener_) listener_->shutdown();
+  if (acceptor_.joinable()) acceptor_.join();
+  for (auto& lane : lanes_) lane->conn->interrupt();
   for (auto& lane : lanes_) {
     if (lane->thread.joinable()) lane->thread.join();
   }
@@ -188,159 +189,246 @@ void DpuProxy::stop() {
   pool_->stop();
 }
 
-void DpuProxy::handle_call(xrpc::CallContext ctx) {
-  uint64_t t0 = ctx.trace.active() ? WallTimer::now() : 0;
-  const MethodEntry* entry = manifest_->find_by_name(ctx.method);
-  if (entry == nullptr) {
-    // dpulint: allow(trace-pairing): unknown method — rejected before
-    // any stage span exists, so there is no kComplete to record.
-    ctx.respond(Code::kNotFound, {});
-    return;
-  }
-  // Round-robin across poller lanes (§III.C: dedicated poller per
-  // connection); wake the lane if it sleeps on its channel.
-  Lane* lane = lanes_[relaxed::add(next_lane_, 1) % lanes_.size()].get();
-  uint64_t enqueue_ns = ctx.trace.active() ? WallTimer::now() : 0;
-  if (ctx.is_stream()) {
-    // A stream pins its lane: every event for it must reach the same
-    // poller, in arrival order — which the per-lane FIFO queue gives us
-    // for free (the open is pushed below, before this reader thread can
-    // see any chunk frame for the call).
-    const uint32_t sid =
-        static_cast<uint32_t>(relaxed::add(next_stream_id_, 1)) + 1;
-    const bool traced = ctx.trace.active();
-    ctx.stream->on_chunk([lane, sid](Bytes chunk) {
-      PendingCall ev;
-      ev.kind = PendingCall::Kind::kStreamChunk;
-      ev.stream_id = sid;
-      ev.payload = std::move(chunk);
-      if (lane->queue.push(std::move(ev))) lane->conn->interrupt();
-    });
-    ctx.stream->on_end([lane, sid, traced] {
-      PendingCall ev;
-      ev.kind = PendingCall::Kind::kStreamEnd;
-      ev.stream_id = sid;
-      // End-frame arrival stamp: the kStreamTransfer/kStreamDrainWait
-      // boundary.
-      ev.enqueue_ns = traced ? WallTimer::now() : 0;
-      if (lane->queue.push(std::move(ev))) lane->conn->interrupt();
-    });
-    ctx.stream->on_abort([lane, sid](Code code) {
-      PendingCall ev;
-      ev.kind = PendingCall::Kind::kStreamAbort;
-      ev.stream_id = sid;
-      ev.abort_code = code;
-      if (lane->queue.push(std::move(ev))) lane->conn->interrupt();
-    });
-    PendingCall open;
-    open.kind = PendingCall::Kind::kStreamOpen;
-    open.method = entry;
-    open.respond = std::move(ctx.respond);
-    open.stream = std::move(ctx.stream);
-    open.stream_id = sid;
-    open.trace = ctx.trace;
-    open.enqueue_ns = enqueue_ns;
-    if (lane->queue.push(std::move(open))) lane->conn->interrupt();
-  } else {
-    PendingCall call;
-    call.method = entry;
-    call.payload = std::move(ctx.payload);
-    call.respond = std::move(ctx.respond);
-    call.trace = ctx.trace;
-    call.enqueue_ns = enqueue_ns;
-    if (lane->queue.push(std::move(call))) lane->conn->interrupt();
-  }  // queue closed → proxy shutting down; the drop is deliberate
-  if (ctx.trace.active()) {
-    // Method lookup + lane selection + queue push, on the xRPC reader
-    // thread. The lane-queue-wait span picks up at enqueue_ns.
-    trace::Tracer::instance().record(trace::Stage::kProxyDispatch, ctx.trace,
-                                     t0, WallTimer::now());
+void DpuProxy::accept_loop() {
+  for (size_t next = 0;; ++next) {
+    auto fd = listener_->accept();
+    if (!fd.is_ok()) return;  // listener shut down: stop()
+    // Pin the connection to a lane (§III.C: a dedicated poller per RDMA
+    // connection); from here on only that lane touches the socket.
+    Lane& lane = *lanes_[next % lanes_.size()];
+    {
+      lockdep::ScopedLock lk(lane.inbox_mu);
+      lane.inbox.push_back(std::move(*fd));
+    }
+    lane.inbox_ready.store(true);
+    lane.conn->interrupt();
   }
 }
 
-Status DpuProxy::dispatch_event(Lane& lane, PendingCall event) {
-  switch (event.kind) {
-    case PendingCall::Kind::kCall:
-      return submit_decode(lane, std::move(event));
-    case PendingCall::Kind::kStreamOpen:
-      open_stream(lane, std::move(event));
-      return Status::ok();
-    case PendingCall::Kind::kStreamChunk:
-      stream_chunk(lane, std::move(event));
-      return Status::ok();
-    case PendingCall::Kind::kStreamEnd:
-      stream_end(lane, std::move(event));
-      return Status::ok();
-    case PendingCall::Kind::kStreamAbort:
-      relaxed::add(stats_.stream_aborts, 1);
-      stream_abort(lane, event.stream_id);
-      return Status::ok();
+bool DpuProxy::adopt_connections(Lane& lane) {
+  if (!lane.inbox_ready.exchange(false)) return false;
+  std::vector<xrpc::Fd> fresh;
+  {
+    lockdep::ScopedLock lk(lane.inbox_mu);
+    fresh.swap(lane.inbox);
+  }
+  for (xrpc::Fd& fd : fresh) {
+    lane.conns.push_back(std::make_unique<LaneConn>(*this, lane, std::move(fd)));
+  }
+  return !fresh.empty();
+}
+
+bool DpuProxy::dispatch_buffered(Lane& lane, LaneConn& c, bool& did_work) {
+  while (relaxed::load(lane.outstanding) < kMaxOutstandingJobs && lane.fault.is_ok()) {
+    auto dispatched = c.conn.dispatch_one(c);
+    if (!dispatched.is_ok()) return false;
+    if (!*dispatched) break;
+    did_work = true;
+  }
+  return true;
+}
+
+DPURPC_HOT_PATH Status DpuProxy::read_connections(Lane& lane, bool& did_work) {
+  // Each turn starts one connection further on, so at the cap the free
+  // slots go round the connections instead of to the first one.
+  const size_t n = lane.conns.size();
+  bool any_closed = false;
+  for (size_t k = 0; k < n; ++k) {
+    LaneConn& c = *lane.conns[(lane.first_conn + k) % n];
+    // Frames a previous turn left at the cap go first, then one recv —
+    // but only below the cap: a lane that cannot take more work leaves
+    // the bytes in the socket, and TCP pushes back on the client.
+    bool alive = dispatch_buffered(lane, c, did_work);
+    if (alive && relaxed::load(lane.outstanding) < kMaxOutstandingJobs) {
+      // dpulint: allow(hot-path): MSG_DONTWAIT — one recv per connection
+      // per turn that never blocks.
+      alive = c.conn.receive(/*block=*/false).is_ok() &&
+              dispatch_buffered(lane, c, did_work);
+    }
+    if (!lane.fault.is_ok()) return lane.fault;
+    if (!alive) {
+      // Closed, broken or malformed: its open streams die with it. Calls
+      // already forwarded still answer through their responders, which
+      // hold the socket open until the last one is done.
+      c.on_disconnect();
+      c.closed = true;
+      any_closed = true;
+    }
+  }
+  lane.first_conn = n == 0 ? 0 : (lane.first_conn + 1) % n;
+  if (any_closed) {
+    std::erase_if(lane.conns, [](const std::unique_ptr<LaneConn>& c) { return c->closed; });
+    did_work = true;
   }
   return Status::ok();
 }
 
-void DpuProxy::open_stream(Lane& lane, PendingCall event) {
+void DpuProxy::sleep(Lane& lane) {
+  // Until the held request block's deadline; 1 ms while RDMA calls or
+  // codec jobs are out (their completions wake us sooner); otherwise
+  // until a socket, a completion or interrupt() wakes us.
+  timespec timeout{0, 1'000'000};
+  const timespec* until = &timeout;
+  if (const uint64_t hold = lane.client.hold_deadline_ns(); hold != 0) {
+    const uint64_t now = WallTimer::now();
+    if (hold <= now) return;
+    timeout.tv_nsec = static_cast<long>(std::min<uint64_t>(hold - now, 999'999'999));
+  } else if (lane.client.in_flight() == 0 && relaxed::load(lane.outstanding) == 0) {
+    until = nullptr;
+  }
+  simverbs::CompletionChannel& channel = lane.conn->channel();
+  if (!channel.arm()) return;  // something completed during the turn
+  lane.pollset.clear();
+  lane.pollset.push_back({channel.fd(), POLLIN, 0});
+  if (relaxed::load(lane.outstanding) < kMaxOutstandingJobs) {
+    for (const auto& c : lane.conns) lane.pollset.push_back({c->conn.fd(), POLLIN, 0});
+  }
+  const int ready = ::ppoll(lane.pollset.data(), lane.pollset.size(), until, nullptr);
+  channel.disarm(ready > 0 && (lane.pollset[0].revents & POLLIN) != 0);
+}
+
+void DpuProxy::LaneConn::on_call(const xrpc::InboundCall& call) {
+  proxy.handle_call(lane, call);
+}
+
+// Stream frames leave the unary hot path here: per-stream state and the
+// carry buffer grow within the stream budget, and scan_and_submit is a
+// hot root of its own.
+void DpuProxy::LaneConn::on_stream_open(const xrpc::InboundCall& call) {
+  // dpulint: allow(hot-path): stream open — one ServerStream per stream.
+  auto stream = std::make_shared<xrpc::ServerStream>(conn.state(), call.call_id);
+  // dpulint: allow(hot-path): stream open — one ProxyStream per stream.
+  const uint32_t sid = proxy.open_stream(lane, call, std::move(stream));
+  // dpulint: allow(hot-path): one map entry per open stream.
+  if (sid != 0) stream_ids[call.call_id] = sid;
+}
+
+void DpuProxy::LaneConn::on_stream_chunk(uint32_t call_id, ByteSpan chunk) {
+  auto it = stream_ids.find(call_id);
+  // dpulint: allow(hot-path): stream path (see above).
+  if (it != stream_ids.end()) proxy.stream_chunk(lane, it->second, chunk);
+}
+
+void DpuProxy::LaneConn::on_stream_end(uint32_t call_id) {
+  auto it = stream_ids.find(call_id);
+  if (it == stream_ids.end()) return;
+  const uint32_t sid = it->second;
+  stream_ids.erase(it);
+  // dpulint: allow(hot-path): stream path (see above).
+  proxy.stream_end(lane, sid);
+}
+
+void DpuProxy::LaneConn::on_stream_abort(uint32_t call_id, Code) {
+  auto it = stream_ids.find(call_id);
+  if (it == stream_ids.end()) return;
+  const uint32_t sid = it->second;
+  stream_ids.erase(it);
+  proxy.stream_abort(lane, sid);
+}
+
+void DpuProxy::LaneConn::on_disconnect() {
+  for (const auto& [call_id, sid] : stream_ids) proxy.stream_abort(lane, sid);
+  stream_ids.clear();
+}
+
+void DpuProxy::handle_call(Lane& lane, const xrpc::InboundCall& call) {
+  const uint64_t t0 = call.trace.active() ? WallTimer::now() : 0;
+  const MethodEntry* entry = manifest_->find_by_name(call.method);
+  if (entry == nullptr) {
+    // dpulint: allow(trace-pairing): unknown method — rejected before
+    // any stage span exists, so there is no kComplete to record.
+    lane.replies.add(call.respond, Code::kNotFound, {});
+    return;
+  }
+  uint64_t dispatch_ns = 0;
+  if (call.trace.active()) {
+    // Method lookup on the lane, right after the frame switch parsed the
+    // frame (where kXrpcInbound ended).
+    dispatch_ns = WallTimer::now();
+    trace::Tracer::instance().record(trace::Stage::kProxyDispatch, call.trace, t0,
+                                     dispatch_ns);
+  }
+  Status st = submit_decode(lane, entry, call.payload, call.respond, call.trace,
+                            dispatch_ns);
+  if (!st.is_ok()) lane.fault = st;
+}
+
+uint32_t DpuProxy::open_stream(Lane& lane, const xrpc::InboundCall& call,
+                               std::shared_ptr<xrpc::ServerStream> stream) {
+  const uint64_t t0 = call.trace.active() ? WallTimer::now() : 0;
+  const MethodEntry* entry = manifest_->find_by_name(call.method);
+  if (entry == nullptr) {
+    // dpulint: allow(trace-pairing): unknown method — rejected before
+    // any stage span exists, so there is no kComplete to record.
+    lane.replies.add(call.respond, Code::kNotFound, {});
+    return 0;
+  }
+  const uint32_t sid = static_cast<uint32_t>(relaxed::add(next_stream_id_, 1)) + 1;
   auto ps = std::make_unique<ProxyStream>();
-  ps->method = event.method;
-  ps->stream = std::move(event.stream);
-  ps->respond = std::move(event.respond);
-  ps->trace = event.trace;
-  ps->open_ns = event.enqueue_ns;
-  xrpc::ServerStream* stream = ps->stream.get();
-  lane.streams.emplace(event.stream_id, std::move(ps));
+  ps->method = entry;
+  ps->stream = std::move(stream);
+  ps->respond = call.respond;
+  ps->trace = call.trace;
+  if (call.trace.active()) {
+    ps->open_ns = WallTimer::now();
+    trace::Tracer::instance().record(trace::Stage::kProxyDispatch, call.trace, t0,
+                                     ps->open_ns);
+  }
+  xrpc::ServerStream* s = ps->stream.get();
+  lane.streams.emplace(sid, std::move(ps));
   // Open the credit window: the client may ship up to the whole budget
   // before the first host ack re-grants — the proxy-side bound on held
   // bytes falls straight out of this being the only unearned credit.
-  (void)stream->grant(static_cast<uint32_t>(
+  (void)s->grant(static_cast<uint32_t>(
       std::min<size_t>(stream_options_.per_stream_budget, UINT32_MAX)));
+  return sid;
 }
 
-void DpuProxy::stream_chunk(Lane& lane, PendingCall event) {
-  auto it = lane.streams.find(event.stream_id);
+void DpuProxy::stream_chunk(Lane& lane, uint32_t stream_id, ByteSpan chunk) {
+  auto it = lane.streams.find(stream_id);
   if (it == lane.streams.end()) return;  // failed/aborted: drop quietly
   ProxyStream& ps = *it->second;
-  ps.held_bytes += event.payload.size();
-  ps.total_bytes += event.payload.size();
-  relaxed::add(stats_.stream_held_bytes, event.payload.size());
+  ps.held_bytes += chunk.size();
+  ps.total_bytes += chunk.size();
+  relaxed::add(stats_.stream_held_bytes, chunk.size());
   note_peak(stats_.stream_peak_bytes, ps.held_bytes);
-  ps.carry.insert(ps.carry.end(), event.payload.begin(), event.payload.end());
-  event.payload = Bytes();
-  Status st = scan_and_submit(lane, event.stream_id);
+  ps.carry.insert(ps.carry.end(), chunk.begin(), chunk.end());
+  Status st = scan_and_submit(lane, stream_id);
   if (!st.is_ok()) {
-    fail_stream(lane, event.stream_id, st);
+    fail_stream(lane, stream_id, st);
     return;
   }
-  forward_ready(lane, event.stream_id);
+  forward_ready(lane, stream_id);
 }
 
-void DpuProxy::stream_end(Lane& lane, PendingCall event) {
-  auto it = lane.streams.find(event.stream_id);
+void DpuProxy::stream_end(Lane& lane, uint32_t stream_id) {
+  auto it = lane.streams.find(stream_id);
   if (it == lane.streams.end()) return;
   ProxyStream& ps = *it->second;
   ps.ended = true;
-  ps.end_ns = event.enqueue_ns;
   if (ps.trace.active()) {
-    // Client-paced transfer: open event → end-frame arrival. Chunk wire
-    // time, credit stalls, and pool decode overlap all live in here;
-    // per-piece decode cost shows on the kWorkerDecodeChunk global track.
+    // Client-paced transfer: open → end-frame arrival. Chunk wire time,
+    // credit stalls, and pool decode overlap all live in here; per-piece
+    // decode cost shows on the kWorkerDecodeChunk global track.
+    ps.end_ns = WallTimer::now();
     trace::Tracer::instance().record(trace::Stage::kStreamTransfer, ps.trace,
                                      ps.open_ns, ps.end_ns, ps.total_bytes);
   }
-  Status st = scan_and_submit(lane, event.stream_id);
+  Status st = scan_and_submit(lane, stream_id);
   if (!st.is_ok()) {
-    fail_stream(lane, event.stream_id, st);
+    fail_stream(lane, stream_id, st);
     return;
   }
-  forward_ready(lane, event.stream_id);
-  maybe_finish_stream(lane, event.stream_id);
+  forward_ready(lane, stream_id);
+  maybe_finish_stream(lane, stream_id);
 }
 
 void DpuProxy::stream_abort(Lane& lane, uint32_t stream_id) {
-  // Client aborted (or its connection died): no response owed. Dropping
-  // the entry frees carry/ready; chunk jobs still out with the pool are
-  // dropped when their cookies pop in chunk_decoded.
+  // Dropping the entry frees carry/ready; chunk jobs still out with the
+  // pool are dropped when their cookies pop in chunk_decoded.
   auto it = lane.streams.find(stream_id);
   if (it == lane.streams.end()) return;
+  relaxed::add(stats_.stream_aborts, 1);
   retire_stream_hold(*it->second);
   lane.streams.erase(it);
 }
@@ -595,55 +683,69 @@ void DpuProxy::fail_stream(Lane& lane, uint32_t stream_id, const Status& why) {
                    {});
 }
 
-Status DpuProxy::submit_decode(Lane& lane, PendingCall call) {
-  if (call.trace.active()) {
-    uint64_t now = WallTimer::now();
-    // Time spent queued behind this lane's other calls.
-    trace::Tracer::instance().record(trace::Stage::kLaneQueueWait, call.trace,
-                                     call.enqueue_ns, now);
-    call.enqueue_ns = now;  // decode-ring wait starts where the queue ended
+DPURPC_HOT_PATH Status DpuProxy::submit_decode(Lane& lane, const MethodEntry* entry,
+                                               ByteSpan payload,
+                                               const xrpc::Responder& respond,
+                                               const trace::TraceContext& tctx,
+                                               uint64_t dispatch_ns) {
+  uint64_t submit_ns = 0;
+  if (tctx.active()) {
+    // Frame parse → dispatch: with no queue in between, only the method
+    // lookup's tail separates them.
+    submit_ns = WallTimer::now();
+    trace::Tracer::instance().record(trace::Stage::kLaneQueueWait, tctx, dispatch_ns,
+                                     submit_ns);
   }
-  const MethodEntry* entry = call.method;
-  if (call.payload.size() > kInlineCodecMaxBytes) {
+  if (payload.size() > kInlineCodecMaxBytes) {
     dpu::CodecJob job;
     job.kind = dpu::JobKind::kDecode;
     job.class_index = entry->input_class;
     job.cookie = ++lane.next_cookie;
-    job.wire = std::move(call.payload);
-    job.trace = call.trace;
-    job.submit_ns = call.enqueue_ns;
+    // dpulint: allow(hot-path): the pool-bound payload's one copy — the
+    // job carries its bytes to another thread while the socket buffer
+    // moves on.
+    job.wire.assign(payload.begin(), payload.end());
+    job.trace = tctx;
+    job.submit_ns = submit_ns;
     if (try_submit(lane, job)) {
-      lane.pending.emplace(job.cookie,
-                           PendingDecode{entry, std::move(call.respond), call.trace});
+      // dpulint: allow(hot-path): per-job bookkeeping on the pool route,
+      // whose ring handoff costs microseconds anyway.
+      lane.pending.emplace(job.cookie, PendingDecode{entry, respond, tctx});
       return Status::ok();
     }
     // Ring/budget full (or shutting down): spill to the lane thread rather
     // than block — the inline path is bit-identical in output.
-    call.payload = std::move(job.wire);
   }
   // Small request (decoding it here costs less than the pool handoff) or
-  // spill: deserialize straight into the block arena, pointers already in
-  // host space (§V). The hint reflects that the deserialized object is
-  // usually a small multiple of the wire size (varints expand,
-  // headers/bitfields add a constant).
+  // spill: deserialize straight from the socket buffer into the block
+  // arena, pointers already in host space (§V). The hint reflects that
+  // the deserialized object is usually a small multiple of the wire size
+  // (varints expand, headers/bitfields add a constant).
   relaxed::add(stats_.inline_decodes, 1);
-  const ByteSpan payload(call.payload);
   auto hint = static_cast<uint32_t>(
       std::min<uint64_t>(rdmarpc::kMaxPayloadSize, payload.size() * 4 + 256));
+  // Two pointers of capture, so the builder function stores them inline.
+  struct {
+    uint32_t input_class;
+    ByteSpan payload;
+  } req{entry->input_class, payload};
   return forward(
-      lane, entry, call.respond, call.trace, hint,
-      [&](arena::Arena& arena, const arena::AddressTranslator& xlate)
+      lane, entry, respond, tctx, hint,
+      [this, &req](arena::Arena& arena, const arena::AddressTranslator& xlate)
           -> StatusOr<uint32_t> {
-        auto obj = deserializer_.deserialize(entry->input_class, payload, arena, xlate);
+        // dpulint: allow(hot-path): plan-driven decode builds the tree in
+        // the send block's arena; exhaustion is a status, never a malloc.
+        auto obj = deserializer_.deserialize(req.input_class, req.payload, arena, xlate);
         if (!obj.is_ok()) return obj.status();
         return static_cast<uint32_t>(arena.used());
       });
 }
 
-void DpuProxy::complete_response(Lane& lane, const xrpc::Responder& respond,
-                                 const trace::TraceContext& tctx,
-                                 const Status& result,
-                                 const rdmarpc::InMessage& resp) {
+DPURPC_HOT_PATH void DpuProxy::complete_response(Lane& lane,
+                                                 const xrpc::Responder& respond,
+                                                 const trace::TraceContext& tctx,
+                                                 const Status& result,
+                                                 const rdmarpc::InMessage& resp) {
   uint64_t t0 = tctx.active() ? WallTimer::now() : 0;
   relaxed::add(stats_.responses_forwarded, 1);
   // kComplete is recorded BEFORE the reply joins the lane's batch: the
@@ -683,11 +785,13 @@ void DpuProxy::complete_response(Lane& lane, const xrpc::Responder& respond,
     // Small object, or budget/ring full: serialize on the lane thread,
     // straight from the receive block — bit-identical bytes.
     relaxed::add(stats_.inline_serializes, 1);
-    Bytes wire;
+    lane.wire.clear();
+    // dpulint: allow(hot-path): plan-driven emit appends into the lane's
+    // scratch, whose capacity persists across replies.
     Status st = serializer_.serialize(
-        adt::ObjectRef(resp.header.aux, resp.payload_addr), wire);
+        adt::ObjectRef(resp.header.aux, resp.payload_addr), lane.wire);
     complete_span();
-    lane.replies.add(respond, st.is_ok() ? Code::kOk : st.code(), ByteSpan(wire));
+    lane.replies.add(respond, st.is_ok() ? Code::kOk : st.code(), ByteSpan(lane.wire));
   } else {
     complete_span();
     lane.replies.add(respond, Code::kOk, resp.payload);
@@ -772,44 +876,66 @@ Status DpuProxy::request_decoded(Lane& lane, dpu::CodecResult result) {
   }
 
   const MethodEntry* entry = pending.method;
+  // Two pointers of capture, so the builder function stores them inline.
+  struct {
+    uint32_t input_class;
+    const dpu::CodecResult& result;
+  } decoded{entry->input_class, result};
   return forward(
       lane, entry, pending.respond, pending.trace, result.used,
       // The tree is already decoded (fully local to the worker's scratch
       // slice); copy it into the block payload and rebase every pointer
       // into the host's address space. Equivalent to having deserialized
       // straight into the block.
-      [&](arena::Arena& arena, const arena::AddressTranslator& xlate)
+      [this, &decoded](arena::Arena& arena, const arena::AddressTranslator& xlate)
           -> StatusOr<uint32_t> {
+        const dpu::CodecResult& slice = decoded.result;
         // kPayloadAlign placement = offset 0 of the payload, exactly where
         // the receiver expects the root object; the 64-aligned scratch
         // base keeps every interior alignment intact.
-        void* dst = arena.allocate(result.used, kPayloadAlign);
+        void* dst = arena.allocate(slice.used, kPayloadAlign);
         if (dst == nullptr) {
           return Status(Code::kResourceExhausted, "block cannot hold decoded object");
         }
-        deserializer_.copy_relocated(entry->input_class, result.slice.data(),
-                                     result.used, static_cast<std::byte*>(dst),
-                                     xlate.delta, result.obj_offset);
+        deserializer_.copy_relocated(decoded.input_class, slice.slice.data(),
+                                     slice.used, static_cast<std::byte*>(dst),
+                                     xlate.delta, slice.obj_offset);
         return static_cast<uint32_t>(arena.used());
       });
 }
 
-Status DpuProxy::forward(Lane& lane, const MethodEntry* entry,
-                         const xrpc::Responder& respond,
-                         const trace::TraceContext& tctx, uint32_t hint,
-                         const rdmarpc::RpcClient::InPlaceBuilder& build) {
+DPURPC_HOT_PATH Status DpuProxy::forward(Lane& lane, const MethodEntry* entry,
+                                         const xrpc::Responder& respond,
+                                         const trace::TraceContext& tctx, uint32_t hint,
+                                         const rdmarpc::RpcClient::InPlaceBuilder& build) {
+  ReplyRoute* route = lane.free_routes;
+  if (route != nullptr) {
+    lane.free_routes = route->next_free;
+  } else {
+    // dpulint: allow(hot-path): the route table grows to the lane's peak
+    // number of calls out with the host, then only reuses its entries.
+    route = &lane.routes.emplace_back();
+    route->lane = &lane;
+  }
+  route->respond = respond;
+  route->trace = tctx;
   Status st = send_to_host(
       lane,
       [&] {
+        // dpulint: allow(hot-path): the rdmarpc engine appends to block
+        // and request lists that keep their capacity (steadystate_alloc
+        // counts what it allocates per request).
         return lane.client.call_inplace(
             entry->method_id, static_cast<uint16_t>(entry->input_class), hint,
             build,
             // Continuation: the copy-path response is already serialized by
             // the host; an offloaded response (kFlagInPlaceObject) arrives
             // as an in-place object the DPU serializes (§III.A extension).
-            [this, lane = &lane, respond, tctx](const Status& rpc_result,
-                                                const rdmarpc::InMessage& resp) {
-              complete_response(*lane, respond, tctx, rpc_result, resp);
+            // Two pointers: the function stores them inline, no heap.
+            [this, route](const Status& rpc_result, const rdmarpc::InMessage& resp) {
+              complete_response(*route->lane, route->respond, route->trace, rpc_result,
+                                resp);
+              release_route(*route);
             },
             tctx);
       },
@@ -819,12 +945,19 @@ Status DpuProxy::forward(Lane& lane, const MethodEntry* entry,
     relaxed::add(lane.forwarded, 1);
     return Status::ok();
   }
+  release_route(*route);
   if (!rejects_only_the_call(st.code())) return st;
   relaxed::add(stats_.deserialize_failures, 1);
   // dpulint: allow(trace-pairing): reject of a malformed or oversized
   // request — it never completed a datapath traversal, no kComplete span.
   lane.replies.add(respond, st.code(), {});
   return Status::ok();
+}
+
+void DpuProxy::release_route(ReplyRoute& route) noexcept {
+  route.respond = xrpc::Responder();  // drop the connection reference
+  route.next_free = route.lane->free_routes;
+  route.lane->free_routes = &route;
 }
 
 void DpuProxy::fail_pending(Lane& lane) {
@@ -859,6 +992,9 @@ void DpuProxy::fail_pending(Lane& lane) {
 }
 
 void DpuProxy::flush_replies(Lane& lane) {
+  // dpulint: allow(hot-path): one send per connection per turn, under the
+  // connection's uncontended frame lock (the name also matches the RDMA
+  // block flush, which this is not).
   const size_t writes = lane.replies.flush();
   if (writes == 0) return;
   relaxed::add(stats_.reply_writes, writes);
@@ -866,80 +1002,50 @@ void DpuProxy::flush_replies(Lane& lane) {
 }
 
 void DpuProxy::poller_loop(Lane& lane) {
-  // §IV: "the user is responsible for queueing enough requests to fill a
-  // block before calling the event loop update function" — drain whatever
-  // is queued into the codec pool, ship finished jobs, run one loop turn,
-  // then block briefly when idle. A partial request block that opened
-  // while the host still owed replies keeps filling for up to
-  // RpcClient::kMaxHoldNs (PartialBlock::kHoldWhileBusy), so under load the
-  // host wakes once per block rather than once per few requests.
+  // Run to completion (§III.C, §IV): each turn reads every owned socket
+  // and dispatches its frames straight into the codec pool or the send
+  // block, ships finished codec jobs, runs one event-loop turn and writes
+  // the turn's replies; only then, with nothing done, does it sleep. A
+  // partial request block that opened while the host still owed replies
+  // keeps filling for up to RpcClient::kMaxHoldNs
+  // (PartialBlock::kHoldWhileBusy), so under load the host wakes once
+  // per block rather than once per few requests.
   while (!relaxed::load(stopping_)) {
-    bool did_work = false;
-    while (relaxed::load(lane.outstanding) < kMaxOutstandingJobs) {
-      auto call = lane.queue.try_pop();
-      if (!call.has_value()) break;
-      did_work = true;
-      Status st = dispatch_event(lane, std::move(*call));
-      if (!st.is_ok()) {
-        // Datapath failure: surface by dropping this lane's loop.
-        relaxed::store(stopping_, true);
-        fail_pending(lane);
-        return;
-      }
-    }
+    bool did_work = adopt_connections(lane);
+    Status st = read_connections(lane, did_work);
     dpu::CodecResult result;
-    while (pool_->try_pop_result(lane.index, result)) {
+    while (st.is_ok() && pool_->try_pop_result(lane.index, result)) {
       did_work = true;
       if (result.kind == dpu::JobKind::kEncode) {
         finish_encoded(lane, std::move(result));
-        continue;
-      }
-      if (result.kind == dpu::JobKind::kDecodeChunk) {
+      } else if (result.kind == dpu::JobKind::kDecodeChunk) {
         chunk_decoded(lane, std::move(result));
-        continue;
-      }
-      Status st = request_decoded(lane, std::move(result));
-      if (!st.is_ok()) {
-        relaxed::store(stopping_, true);
-        fail_pending(lane);
-        return;
+      } else {
+        st = request_decoded(lane, std::move(result));
       }
     }
-    auto pumped = lane.client.event_loop_once(
-        rdmarpc::RpcClient::PartialBlock::kHoldWhileBusy);
-    if (!pumped.is_ok()) {
-      fail_pending(lane);
-      return;
+    if (st.is_ok()) {
+      auto pumped = lane.client.event_loop_once(
+          rdmarpc::RpcClient::PartialBlock::kHoldWhileBusy);
+      st = pumped.status();
+      if (st.is_ok() && *pumped > 0) did_work = true;
     }
-    if (*pumped > 0) did_work = true;
+    if (!st.is_ok()) {
+      // Datapath failure: stop the proxy.
+      relaxed::store(stopping_, true);
+      break;
+    }
     // End of the turn: one send per connection for every reply it
     // finished, before anything below can block.
     flush_replies(lane);
-    if (!did_work) {
-      // A held request block ships at its deadline: wake for it.
-      const uint64_t hold = lane.client.hold_deadline_ns();
-      const uint64_t now = hold != 0 ? WallTimer::now() : 0;
-      if (hold > now) {
-        lane.conn->wait(std::chrono::microseconds((hold - now + 999) / 1000));
-        continue;
-      }
-      // Blocking wait (poll()-style, §III.C) instead of busy-polling;
-      // codec completions interrupt() us out of it.
-      lane.conn->wait(1);
-      if (lane.queue.size() == 0 && lane.client.in_flight() == 0 &&
-          relaxed::load(lane.outstanding) == 0) {
-        // Fully idle: sleep on the queue; stop() closes it to wake us.
-        auto call = lane.queue.pop();
-        if (!call.has_value()) break;  // queue closed: shutting down
-        Status st = dispatch_event(lane, std::move(*call));
-        if (!st.is_ok()) {
-          fail_pending(lane);
-          return;
-        }
-      }
-    }
+    if (!did_work) sleep(lane);
   }
   fail_pending(lane);
+  // Close the lane's sockets, the ones still in its inbox too (stop()
+  // joins the acceptor first): their clients see the connection end.
+  adopt_connections(lane);
+  for (auto& c : lane.conns) c->conn.state()->fd.shutdown();
+  lane.conns.clear();
 }
 
 void DpuProxy::register_resource_probes(trace::ResourceSampler& sampler) const {

@@ -11,20 +11,31 @@
 //
 // Threading (§III.C + lane sharding, DESIGN.md §3.14/§3.16): one poller
 // thread (lane) per RDMA connection owns that connection's RpcClient and
-// event loop; xRPC reader threads enqueue work round-robin across lanes.
-// The codec itself is sharded off the lanes onto a full-duplex CodecPool
-// sized from the DPU core count. Request direction: the poller hands the
-// wire bytes to the pool through a per-lane ring, the worker decodes into
-// a private fully-local scratch slice, and the poller memcpys the
-// finished slice into the send block and relocates its pointers into host
-// space. Response direction: when the host answers with an in-place
-// object, the poller copies the object out of the receive block into a
-// fully-local slice (the block is acked as soon as the continuation
-// returns), hands it to the pool as an encode descriptor, and a worker
-// runs the compiled serialize plan; the poller then only has to hand the
-// finished wire bytes to the xRPC responder. A lane whose codec work is
-// slow therefore queues against the pool, not against its siblings, and
-// idle workers steal the backlog.
+// event loop, and the xRPC connections the acceptor hands it round-robin
+// — the only cross-thread handoff on the request side. Each lane turn
+// reads every owned socket once without blocking (one recv per
+// connection into its FrameReader) and dispatches each complete frame
+// straight into submit_decode or the stream functions, with method and
+// payload as views into the socket buffer: no queue, no reader thread,
+// no per-request wake-up. An idle lane sleeps in one poll() over its
+// sockets plus its RDMA completion channel's fd, with a held request
+// block's deadline as the timeout; RDMA and codec completions wake it
+// through that fd. A lane whose codec budget is full takes its sockets
+// out of that poll and stops reading, so overload reaches the client
+// through TCP. The codec itself is sharded off the lanes onto a
+// full-duplex CodecPool sized from the DPU core count. Request
+// direction: the poller hands the wire bytes to the pool through a
+// per-lane ring, the worker decodes into a private fully-local scratch
+// slice, and the poller memcpys the finished slice into the send block
+// and relocates its pointers into host space. Response direction: when
+// the host answers with an in-place object, the poller copies the object
+// out of the receive block into a fully-local slice (the block is acked
+// as soon as the continuation returns), hands it to the pool as an
+// encode descriptor, and a worker runs the compiled serialize plan; the
+// poller then only has to hand the finished wire bytes to the xRPC
+// responder. A lane whose codec work is slow therefore queues against
+// the pool, not against its siblings, and idle workers steal the
+// backlog.
 //
 // Small jobs skip the pool (size routing, DESIGN.md §3.14): a request
 // whose wire payload, or an in-place reply whose object, is at most
@@ -53,7 +64,10 @@
 // filling for up to RpcClient::kMaxHoldNs before the lane ships it.
 #pragma once
 
+#include <poll.h>
+
 #include <atomic>
+#include <deque>
 #include <map>
 #include <memory>
 #include <thread>
@@ -62,8 +76,9 @@
 
 #include "adt/arena_deserializer.hpp"
 #include "adt/object_codec.hpp"
-#include "common/bounded_queue.hpp"
+#include "common/lockdep.hpp"
 #include "common/relaxed.hpp"
+#include "common/thread_annotations.hpp"
 #include "dpu/codec_pool.hpp"
 #include "metrics/metrics.hpp"
 #include "grpccompat/manifest.hpp"
@@ -117,10 +132,9 @@ struct DpuProxyStats {
   /// malformed chunks, decode failures.
   std::atomic<uint64_t> stream_aborts{0};
   /// Socket writes the lanes made for xRPC replies: one per connection
-  /// per turn, plus any forced by the batch's size cap. The reader
-  /// thread's direct NOT_FOUND answers are not counted.
+  /// per turn, plus any forced by the batch's size cap.
   /// responses_forwarded divided by this is the replies-per-write
-  /// coalescing factor.
+  /// coalescing factor (NOT_FOUND answers add writes, not responses).
   std::atomic<uint64_t> reply_writes{0};
 };
 
@@ -145,7 +159,7 @@ class DpuProxy {
   DpuProxy(rdmarpc::Connection* conn, const OffloadManifest* manifest);
 
   /// Multi-connection proxy: one dedicated poller thread per connection
-  /// (§III.C); incoming xRPC calls are distributed round-robin.
+  /// (§III.C); incoming xRPC connections are pinned to lanes round-robin.
   /// `codec_workers` sizes the codec pool: 0 → dpu::DeviceInfo cores
   /// (DPURPC_DPU_CORES overrides), clamped to the lane count.
   DpuProxy(const std::vector<rdmarpc::Connection*>& conns,
@@ -153,7 +167,7 @@ class DpuProxy {
 
   ~DpuProxy();
 
-  /// Start the xRPC server, the codec pool, and the poller lanes.
+  /// Start the xRPC listener, the codec pool, and the poller lanes.
   /// Returns the TCP port xRPC clients should dial (the "DPU's address").
   StatusOr<uint16_t> start();
   void stop();
@@ -194,29 +208,6 @@ class DpuProxy {
   void register_resource_probes(trace::ResourceSampler& sampler) const;
 
  private:
-  /// One event on a lane's queue: a unary call, or one step of a
-  /// streaming call's life cycle (the xRPC reader forwards stream frames
-  /// here so all per-stream state stays poller-thread-only).
-  struct PendingCall {
-    enum class Kind : uint8_t {
-      kCall,         ///< unary request (method/payload/respond)
-      kStreamOpen,   ///< method/respond/stream/stream_id
-      kStreamChunk,  ///< stream_id/payload
-      kStreamEnd,    ///< stream_id
-      kStreamAbort,  ///< stream_id/abort_code
-    };
-    Kind kind = Kind::kCall;
-    const MethodEntry* method = nullptr;
-    Bytes payload;
-    xrpc::Responder respond;
-    std::shared_ptr<xrpc::ServerStream> stream;
-    uint32_t stream_id = 0;
-    Code abort_code = Code::kOk;
-    /// Propagated request trace (inactive when the call is untraced) and
-    /// the stamp it entered the lane queue — the lane-queue-wait span.
-    trace::TraceContext trace;
-    uint64_t enqueue_ns = 0;
-  };
   /// A call whose payload is out with the codec pool's decode direction;
   /// keyed by cookie.
   struct PendingDecode {
@@ -247,7 +238,7 @@ class DpuProxy {
     std::shared_ptr<xrpc::ServerStream> stream;
     xrpc::Responder respond;
     trace::TraceContext trace;
-    uint64_t open_ns = 0;  ///< kStreamTransfer start (reader enqueue stamp)
+    uint64_t open_ns = 0;  ///< kStreamTransfer start (open dispatch stamp)
     uint64_t end_ns = 0;   ///< end-frame arrival: transfer/drain boundary
     /// Bytes received but not yet cut at a record boundary.
     Bytes carry;
@@ -266,15 +257,52 @@ class DpuProxy {
     bool end_sent = false;
   };
 
+  struct Lane;
+
+  /// Where a forwarded unary call's reply goes. Routes live in a per-lane
+  /// table and are reused, so the RDMA continuation captures two pointers
+  /// and a forward allocates nothing.
+  struct ReplyRoute {
+    Lane* lane = nullptr;
+    xrpc::Responder respond;
+    trace::TraceContext trace;
+    ReplyRoute* next_free = nullptr;
+  };
+
+  /// One xRPC connection a lane owns: the frame switch, and the lane's
+  /// side of it. Lane-thread-only.
+  struct LaneConn final : xrpc::CallSink {
+    LaneConn(DpuProxy& p, Lane& l, xrpc::Fd fd)
+        : proxy(p), lane(l), conn(std::move(fd), &metrics::default_registry()) {}
+    void on_call(const xrpc::InboundCall& call) override;
+    void on_stream_open(const xrpc::InboundCall& call) override;
+    void on_stream_chunk(uint32_t call_id, ByteSpan chunk) override;
+    void on_stream_end(uint32_t call_id) override;
+    void on_stream_abort(uint32_t call_id, Code code) override;
+    void on_disconnect() override;
+
+    DpuProxy& proxy;
+    Lane& lane;
+    xrpc::ServerConnection conn;
+    /// Call id → proxy-wide stream id, for the streams open on this
+    /// connection.
+    std::unordered_map<uint32_t, uint32_t> stream_ids;
+    bool closed = false;  ///< dropped at the end of the lane's read pass
+  };
+
   /// One connection + its dedicated poller (§III.C).
   struct Lane {
     Lane(rdmarpc::Connection* c, size_t i) : conn(c), client(c), index(i) {}
     rdmarpc::Connection* conn;
     rdmarpc::RpcClient client;
     size_t index;
-    BoundedQueue<PendingCall> queue{1024};
     std::thread thread;
     std::atomic<uint64_t> forwarded{0};
+    /// Accepted sockets waiting for the lane to adopt them: the acceptor
+    /// pushes, sets `inbox_ready` and interrupts the lane's channel.
+    lockdep::Mutex inbox_mu{"grpccompat.DpuProxy.inbox"};
+    std::vector<xrpc::Fd> inbox DPURPC_GUARDED_BY(inbox_mu);
+    std::atomic<bool> inbox_ready{false};
     // Poller-thread-only state (submission and completion both happen on
     // the lane's poller; the pool only sees opaque cookies). `outstanding`
     // counts both kinds together — the budget that keeps the shared
@@ -284,8 +312,22 @@ class DpuProxy {
     std::atomic<size_t> outstanding{0};
     std::unordered_map<uint64_t, PendingDecode> pending;
     std::unordered_map<uint64_t, PendingEncode> pending_encodes;
+    /// Reply routes of the calls out with the host (stable addresses),
+    /// and the free list threaded through the idle ones.
+    std::deque<ReplyRoute> routes;
+    ReplyRoute* free_routes = nullptr;
+    /// Scratch for replies serialized on the lane; keeps its capacity.
+    Bytes wire;
     /// Live streams owned by this lane, keyed by proxy-wide stream id.
     std::unordered_map<uint32_t, std::unique_ptr<ProxyStream>> streams;
+    /// The xRPC connections this lane reads, and the poll set its idle
+    /// sleep reuses (the channel fd, then one entry per connection).
+    std::vector<std::unique_ptr<LaneConn>> conns;
+    size_t first_conn = 0;  ///< where the next read pass starts
+    std::vector<pollfd> pollset;
+    /// A datapath failure raised inside a frame-switch callback; the
+    /// poller fails the lane on it after the callback returns.
+    Status fault;
     /// Replies finished during the current poller turn, written once per
     /// connection before the lane next blocks (DESIGN.md §3, xRPC edge).
     xrpc::ReplyBatch replies;
@@ -295,16 +337,33 @@ class DpuProxy {
     std::unordered_map<uint64_t, std::pair<uint32_t, uint32_t>> pending_chunks;
   };
 
+  /// Accept xRPC connections and hand them to the lanes round-robin.
+  void accept_loop();
+  /// Adopt the sockets the acceptor handed this lane. True if any.
+  bool adopt_connections(Lane& lane);
+  /// The lane's socket side of one turn: for every owned connection,
+  /// dispatch the whole frames its reader holds, one non-blocking recv,
+  /// and dispatch again — stopping at the outstanding-job cap, where the
+  /// rest waits in the reader or the socket. Drops connections that
+  /// closed or sent a malformed frame. Non-ok only on datapath failure.
+  Status read_connections(Lane& lane, bool& did_work);
+  /// Dispatch the frames `c`'s reader already holds, up to the cap.
+  /// False when the connection sent a malformed frame.
+  bool dispatch_buffered(Lane& lane, LaneConn& c, bool& did_work);
+  /// Idle: sleep in one poll() over the completion channel's fd and,
+  /// below the cap, every owned socket, until the held block's deadline.
+  void sleep(Lane& lane);
   void poller_loop(Lane& lane);
-  /// xRPC reader thread: route a CallContext to a lane (unary call or
-  /// stream open + per-frame events).
-  void handle_call(xrpc::CallContext ctx);
-  /// Poller: one lane-queue event. Non-ok only on unrecoverable datapath
-  /// failure (per-stream failures fail only that stream).
-  Status dispatch_event(Lane& lane, PendingCall event);
-  void open_stream(Lane& lane, PendingCall event);
-  void stream_chunk(Lane& lane, PendingCall event);
-  void stream_end(Lane& lane, PendingCall event);
+  /// A unary call from one of the lane's connections: method lookup
+  /// (kProxyDispatch), then submit_decode.
+  void handle_call(Lane& lane, const xrpc::InboundCall& call);
+  /// Proxy-wide id for a new stream on `lane`, or 0 after answering an
+  /// unknown method with NOT_FOUND.
+  uint32_t open_stream(Lane& lane, const xrpc::InboundCall& call,
+                       std::shared_ptr<xrpc::ServerStream> stream);
+  void stream_chunk(Lane& lane, uint32_t stream_id, ByteSpan chunk);
+  void stream_end(Lane& lane, uint32_t stream_id);
+  /// Client abort or lost connection: drop the stream, no reply owed.
   void stream_abort(Lane& lane, uint32_t stream_id);
   /// Cut whole-record pieces out of the stream's carry buffer and submit
   /// them to the pool as kDecodeChunk jobs (inline-validate spill when
@@ -333,11 +392,13 @@ class DpuProxy {
   /// budget or its ring is full (the job is left intact for the caller's
   /// inline spill); true counts the job against the budget.
   bool try_submit(Lane& lane, dpu::CodecJob& job);
-  /// Route a call's decode: large payloads go to the pool; small ones and
-  /// pool-full spills are forwarded with the lane builder (deserialize
-  /// straight into the send block). Returns non-ok only on unrecoverable
-  /// datapath failure.
-  Status submit_decode(Lane& lane, PendingCall call);
+  /// Route a call's decode: large payloads are copied once into a pool
+  /// job; small ones and pool-full spills are forwarded with the lane
+  /// builder, which deserializes straight from the socket buffer into the
+  /// send block. Returns non-ok only on unrecoverable datapath failure.
+  Status submit_decode(Lane& lane, const MethodEntry* entry, ByteSpan payload,
+                       const xrpc::Responder& respond,
+                       const trace::TraceContext& tctx, uint64_t dispatch_ns);
   /// Completion of a pool decode: reject a failed decode to its caller,
   /// else forward with the pool builder (copy the decoded slice into the
   /// send block, relocating its pointers to host space).
@@ -352,6 +413,8 @@ class DpuProxy {
                  const xrpc::Responder& respond,
                  const trace::TraceContext& tctx, uint32_t hint,
                  const rdmarpc::RpcClient::InPlaceBuilder& build);
+  /// Return a route to its lane's free list.
+  void release_route(ReplyRoute& route) noexcept;
   /// The one backpressure loop: run `send_once` (one RDMA send attempt) until
   /// it returns anything but kUnavailable/kResourceExhausted, pumping the
   /// lane's event loop between attempts. Continuations run inside the
@@ -386,13 +449,14 @@ class DpuProxy {
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::unique_ptr<dpu::CodecPool> pool_;
   StreamOptions stream_options_;
-  std::atomic<uint64_t> next_lane_{0};
-  /// Stream ids are assigned on the xRPC reader thread (they key the
-  /// per-frame events) from one proxy-wide counter, so they are unique
+  /// Stream ids come from one proxy-wide counter, so they are unique
   /// across lanes and never zero.
   std::atomic<uint64_t> next_stream_id_{0};
-  std::unique_ptr<xrpc::Server> xrpc_server_;
+  std::unique_ptr<xrpc::Listener> listener_;
+  std::thread acceptor_;
+  /// Set to make the lanes exit: by stop(), or by a lane that failed.
   std::atomic<bool> stopping_{false};
+  std::atomic<bool> stopped_{false};  ///< stop() ran
   DpuProxyStats stats_;
   /// Registry mirror of stats_.reply_writes (default registry).
   metrics::Counter* reply_writes_total_;

@@ -132,14 +132,20 @@ StatusOr<bool> Connection::flush() {
   // Flush observers end wait-stage spans exactly at the instant stamped
   // into the block's WireTrace prefixes (zero when nothing was traced).
   last_flush_ns_ = writer_->trace_stamp_ns();
+  const uint64_t seq = next_block_seq_;
+  // Observers run before the block is posted: delivery is synchronous, so
+  // the peer may act on the block — and a reply may reach the client —
+  // before this thread returns from the post, and every span an observer
+  // records must already be in its ring by then.
+  if (flush_observer_) flush_observer_(seq);
 
   // A send failure here is fatal by design: the credit system makes RNR
   // unreachable, so any error is an invariant violation engines abort on.
-  // State is only advanced after the send succeeds.
+  // The transport's own state is only advanced after the send succeeds.
   DPURPC_RETURN_IF_ERROR(send_block(offset, length));
   writer_.reset();
   relaxed::store(pending_acks_, 0);
-  uint64_t seq = next_block_seq_++;
+  ++next_block_seq_;
   sent_blocks_.push_back({seq, offset, false});
   relaxed::sub(credits_, 1);
   if (credits_gauge_ != nullptr) {
@@ -147,7 +153,6 @@ StatusOr<bool> Connection::flush() {
   }
   if (blocks_sent_ != nullptr) blocks_sent_->inc();
   if (messages_sent_ != nullptr) messages_sent_->inc(msg_count);
-  if (flush_observer_) flush_observer_(seq);
   return true;
 }
 

@@ -103,10 +103,11 @@ class Connection {
   /// requests to blocks with this before calling flush).
   uint64_t open_block_seq() const noexcept { return next_block_seq_; }
 
-  /// Invoked with the block sequence number after every successful flush —
-  /// including flushes begin_message() triggers internally when a block
-  /// fills. Engines hang the request-ID discipline here so it runs at the
-  /// true block boundary, never out of step with the peer.
+  /// Invoked with the block sequence number on every flush, just before the
+  /// block is posted — including flushes begin_message() triggers
+  /// internally when a block fills (a failed post is fatal to the
+  /// connection). Engines hang the request-ID discipline here so it runs
+  /// at the true block boundary, never out of step with the peer.
   void set_flush_observer(std::function<void(uint64_t seq)> observer) {
     flush_observer_ = std::move(observer);
   }

@@ -1,6 +1,11 @@
 #include "simverbs/simverbs.hpp"
 
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/cpu_timer.hpp"
@@ -10,24 +15,59 @@ namespace dpurpc::simverbs {
 
 // ------------------------------------------------------------- channel
 
-bool CompletionChannel::wait(std::chrono::microseconds timeout) {
-  lockdep::UniqueLock lk(mu_);
-  bool ok = cv_.wait_for(lk, timeout,
-                         [&] { return events_ > consumed_; });
-  if (ok) consumed_ = events_;
-  return ok;
+CompletionChannel::CompletionChannel()
+    : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (fd_ < 0) std::abort();  // out of fds: nothing below can work either
 }
 
-void CompletionChannel::interrupt() {
-  lockdep::ScopedLock lk(mu_);
-  ++events_;
-  cv_.notify_all();
-}
+CompletionChannel::~CompletionChannel() { ::close(fd_); }
 
 void CompletionChannel::notify() {
-  lockdep::ScopedLock lk(mu_);
-  ++events_;
-  cv_.notify_all();
+  events_.fetch_add(1);
+  if (armed_.load() > 0) {
+    const uint64_t one = 1;
+    // A full counter (2^64 - 2 unread writes) cannot happen; the fd is
+    // already readable then anyway.
+    (void)!::write(fd_, &one, sizeof(one));
+  }
+}
+
+bool CompletionChannel::arm() {
+  armed_.fetch_add(1);
+  const uint64_t seen = events_.load();
+  if (seen == consumed_.load()) return true;
+  armed_.fetch_sub(1);
+  consumed_.store(seen);
+  return false;
+}
+
+bool CompletionChannel::disarm(bool readable) {
+  armed_.fetch_sub(1);
+  if (readable) {
+    uint64_t drained = 0;
+    (void)!::read(fd_, &drained, sizeof(drained));
+  }
+  const uint64_t seen = events_.load();
+  return consumed_.exchange(seen) != seen;
+}
+
+bool CompletionChannel::wait(std::chrono::microseconds timeout) {
+  if (!arm()) return true;
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  for (;;) {
+    const auto left = deadline - std::chrono::steady_clock::now();
+    if (left <= std::chrono::nanoseconds::zero()) return disarm(false);
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(left).count();
+    const timespec ts{static_cast<time_t>(ns / 1'000'000'000),
+                      static_cast<long>(ns % 1'000'000'000)};
+    pollfd p{fd_, POLLIN, 0};
+    if (::ppoll(&p, 1, &ts, nullptr) <= 0) continue;  // timeout or EINTR
+    // A notifier that saw us armed just before an earlier disarm() can
+    // leave a stale write behind; only a new event ends the wait.
+    if (events_.load() != consumed_.load()) return disarm(true);
+    uint64_t drained = 0;
+    (void)!::read(fd_, &drained, sizeof(drained));
+  }
 }
 
 // ------------------------------------------------------------------ cq

@@ -102,29 +102,51 @@ struct RecvWr {
   uint64_t wr_id = 0;
 };
 
-/// Blocking wait primitive (completion channel + poll()). CQs attached to
-/// a channel wake it whenever a completion arrives.
+/// Blocking wait primitive: a completion channel that is a file
+/// descriptor (an eventfd), as ibv_comp_channel is, so a poller can
+/// sleep in one poll() over it and its other sources (sockets). CQs
+/// attached to a channel notify it on every completion; interrupt()
+/// notifies it from anywhere. The fd is written only while a waiter is
+/// armed (ibv_req_notify_cq semantics), so a poller that is busy pays
+/// no syscall per completion, and an event that lands while nobody is
+/// armed is still seen by the next arm() — no wake-up is lost.
 class CompletionChannel {
  public:
-  /// Wait until any attached CQ has completions or `timeout` elapses.
-  /// Returns false on timeout.
+  CompletionChannel();
+  ~CompletionChannel();
+  CompletionChannel(const CompletionChannel&) = delete;
+  CompletionChannel& operator=(const CompletionChannel&) = delete;
+
+  /// Wait until an event arrives (or one arrived since the last wait) or
+  /// `timeout` elapses. Returns false on timeout.
   bool wait(std::chrono::microseconds timeout);
   bool wait(int timeout_ms) { return wait(std::chrono::milliseconds(timeout_ms)); }
 
-  /// Wake all waiters regardless of CQ state (shutdown path).
-  void interrupt();
+  /// Wake the waiter regardless of CQ state (shutdown, handed-over work).
+  void interrupt() { notify(); }
+
+  /// For a poller that sleeps in its own poll() over fd() and other fds.
+  /// arm() before polling: false means an event is already pending (it
+  /// is consumed here; do not sleep). Otherwise the next event makes
+  /// fd() readable. After the poll, disarm() — told whether the poll saw
+  /// fd() readable, so it drains the fd only then — returns whether an
+  /// event arrived.
+  bool arm();
+  bool disarm(bool readable);
+  int fd() const noexcept { return fd_; }
 
  private:
   friend class CompletionQueue;
   void notify();
 
-  // Leaf lock: nothing else is ever acquired under it. CQs call
-  // notify() *after* dropping their own lock, so the CQ->channel edge
-  // never forms and any poller->CQ->channel chain stays acyclic.
-  lockdep::Mutex mu_{"simverbs.CompletionChannel.mu"};
-  lockdep::CondVar cv_;
-  uint64_t events_ DPURPC_GUARDED_BY(mu_) = 0;
-  uint64_t consumed_ DPURPC_GUARDED_BY(mu_) = 0;
+  int fd_;
+  // Notifier: events_ += 1, then write fd_ if armed_ > 0. Waiter:
+  // armed_ += 1, then compare events_ with consumed_. Both sides use
+  // sequentially consistent operations, so at least one of them sees
+  // the other: an event is either caught by arm() or written to fd_.
+  std::atomic<uint64_t> events_{0};
+  std::atomic<uint64_t> consumed_{0};
+  std::atomic<int> armed_{0};
 };
 
 /// Bounded completion queue. Overflow is recorded and the completion is

@@ -1,12 +1,14 @@
 // The unified call surface (DESIGN.md §3.16).
 //
-// Every way a request enters the system — a unary xRPC dispatch, a
-// streaming open, a grpccompat engine — now presents one typed context
-// instead of the three historical ad-hoc shapes (raw (method, payload)
-// callbacks, ad-hoc HostEngine registration signatures, DpuProxy
-// responder plumbing). The deprecated register_method* shims that
-// bridged one release are gone; register_unary*/register_stream are
-// the only entry points.
+// A handler served by xrpc::Server — a unary dispatch or a streaming
+// open — gets one typed context that owns its method name and payload,
+// instead of the historical ad-hoc shapes (raw (method, payload)
+// callbacks, ad-hoc HostEngine registration signatures). The deprecated
+// register_method* shims that bridged one release are gone;
+// register_unary*/register_stream are the only entry points. Server
+// builds each context from the one frame switch (server.hpp); the DPU
+// proxy's lanes take the same calls from that switch as views
+// (InboundCall), without the copy.
 #pragma once
 
 #include <functional>
@@ -44,8 +46,9 @@ struct CallContext {
   bool is_stream() const noexcept { return stream != nullptr; }
 };
 
-/// Handler for the unified surface: invoked on the connection's reader
-/// thread for every call, unary or streaming.
+/// Handler for the unified surface: xrpc::Server invokes it on the
+/// thread that reads the call's connection, for every call, unary or
+/// streaming.
 using CallHandler = std::function<void(CallContext ctx)>;
 
 }  // namespace dpurpc::xrpc

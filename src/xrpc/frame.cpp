@@ -62,7 +62,10 @@ void append_response(Bytes& out, uint32_t call_id, Code status, ByteSpan payload
   if (traced) p = put_trace(p, *trace);
   *p++ = static_cast<uint8_t>(status);
   const auto* h = reinterpret_cast<const std::byte*>(head);
+  // dpulint: allow(hot-path): appends to a caller-owned buffer that keeps
+  // its capacity (a ReplyBatch slot, or the replying thread's frame).
   out.insert(out.end(), h, h + (p - head));
+  // dpulint: allow(hot-path): same reused buffer as above.
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
@@ -127,151 +130,180 @@ Status write_stream_abort(const Fd& fd, uint32_t call_id, Code code) {
 
 namespace {
 
-/// Parse one frame body (everything after the length word).
-StatusOr<AnyFrame> parse_frame(const std::byte* data, uint32_t body) {
+/// Parse one frame body (everything after the length word) into views.
+Status parse_view(const std::byte* data, uint32_t body, FrameView& out) {
   const auto* p = reinterpret_cast<const uint8_t*>(data);
   const auto* end = p + body;
+  auto bytes = [&](const uint8_t* from) {
+    return ByteSpan(reinterpret_cast<const std::byte*>(from),
+                    static_cast<size_t>(end - from));
+  };
+  auto text = [](const uint8_t* from, size_t n) {
+    return std::string_view(reinterpret_cast<const char*>(from), n);
+  };
 
-  AnyFrame out;
+  out = FrameView{};
   uint8_t raw_type = *p++;
   bool traced = (raw_type & kFrameTracedBit) != 0;
   uint8_t type = raw_type & static_cast<uint8_t>(~kFrameTracedBit);
-  uint32_t call_id = load_le<uint32_t>(p);
+  out.call_id = load_le<uint32_t>(p);
   p += 4;
-  FrameTrace trace;
   if (traced) {
     if (end - p < static_cast<ptrdiff_t>(kFrameTraceSize)) {
       return Status(Code::kDataLoss, "truncated frame trace");
     }
-    trace.trace_id = load_le<uint64_t>(p);
-    trace.span_id = load_le<uint64_t>(p + 8);
-    trace.send_ns = load_le<uint64_t>(p + 16);
+    out.trace.trace_id = load_le<uint64_t>(p);
+    out.trace.span_id = load_le<uint64_t>(p + 8);
+    out.trace.send_ns = load_le<uint64_t>(p + 16);
     p += kFrameTraceSize;
   }
-  if (type == static_cast<uint8_t>(FrameType::kRequest)) {
-    out.type = FrameType::kRequest;
-    out.request.call_id = call_id;
-    out.request.trace = trace;
-    if (end - p < 2) return Status(Code::kDataLoss, "truncated request frame");
-    uint16_t name_len = load_le<uint16_t>(p);
-    p += 2;
-    if (end - p < name_len) return Status(Code::kDataLoss, "truncated method name");
-    out.request.method.assign(reinterpret_cast<const char*>(p), name_len);
-    p += name_len;
-    out.request.payload.assign(reinterpret_cast<const std::byte*>(p),
-                               reinterpret_cast<const std::byte*>(end));
-  } else if (type == static_cast<uint8_t>(FrameType::kResponse)) {
-    out.type = FrameType::kResponse;
-    out.response.call_id = call_id;
-    out.response.trace = trace;
-    if (end - p < 1) return Status(Code::kDataLoss, "truncated response frame");
-    uint8_t code = *p++;
-    if (code > static_cast<uint8_t>(Code::kAborted)) {
-      return Status(Code::kDataLoss, "invalid status code");
-    }
-    out.response.status = static_cast<Code>(code);
-    out.response.payload.assign(reinterpret_cast<const std::byte*>(p),
-                                reinterpret_cast<const std::byte*>(end));
-  } else if (type >= static_cast<uint8_t>(FrameType::kStreamOpen) &&
-             type <= static_cast<uint8_t>(FrameType::kStreamAbort)) {
-    out.type = static_cast<FrameType>(type);
-    out.stream.call_id = call_id;
-    out.stream.trace = trace;
-    switch (out.type) {
-      case FrameType::kStreamOpen: {
-        if (end - p < 2) {
-          return Status(Code::kDataLoss, "truncated stream-open frame");
-        }
-        uint16_t name_len = load_le<uint16_t>(p);
-        p += 2;
-        if (end - p != name_len) {
-          return Status(Code::kDataLoss, "stream-open length mismatch");
-        }
-        out.stream.method.assign(reinterpret_cast<const char*>(p), name_len);
-        break;
-      }
-      case FrameType::kStreamChunk:
-        out.stream.payload.assign(reinterpret_cast<const std::byte*>(p),
-                                  reinterpret_cast<const std::byte*>(end));
-        break;
-      case FrameType::kStreamEnd:
-        if (end != p) {
-          return Status(Code::kDataLoss, "stream-end frame carries bytes");
-        }
-        break;
-      case FrameType::kStreamCredit:
-        if (end - p != 4) {
-          return Status(Code::kDataLoss, "bad stream-credit frame length");
-        }
-        out.stream.credit = load_le<uint32_t>(p);
-        break;
-      case FrameType::kStreamAbort: {
-        if (end - p != 1) {
-          return Status(Code::kDataLoss, "bad stream-abort frame length");
-        }
-        uint8_t code = *p;
-        if (code > static_cast<uint8_t>(Code::kAborted)) {
-          return Status(Code::kDataLoss, "invalid status code");
-        }
-        out.stream.status = static_cast<Code>(code);
-        break;
-      }
-      default:
-        break;  // unreachable: range-checked above
-    }
-  } else {
+  if (type > static_cast<uint8_t>(FrameType::kStreamAbort)) {
     return Status(Code::kDataLoss, "unknown xrpc frame type");
   }
-  return out;
-}
-
-}  // namespace
-
-Status FrameReader::fill(size_t n) {
-  if (buf_.size() - begin_ < n) {
-    // Not enough room behind the unparsed tail: slide it to the front.
-    std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
-    end_ -= begin_;
-    begin_ = 0;
-  }
-  while (end_ - begin_ < n) {
-    ssize_t got = ::recv(fd_.get(), buf_.data() + end_, buf_.size() - end_, 0);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return Status(Code::kUnavailable, std::string("recv: ") + std::strerror(errno));
+  out.type = static_cast<FrameType>(type);
+  switch (out.type) {
+    case FrameType::kRequest: {
+      if (end - p < 2) return Status(Code::kDataLoss, "truncated request frame");
+      uint16_t name_len = load_le<uint16_t>(p);
+      p += 2;
+      if (end - p < name_len) return Status(Code::kDataLoss, "truncated method name");
+      out.method = text(p, name_len);
+      out.payload = bytes(p + name_len);
+      break;
     }
-    if (got == 0) {
-      return Status(Code::kUnavailable, end_ == begin_
-                                            ? "peer closed connection"
-                                            : "peer closed mid-frame");
+    case FrameType::kResponse: {
+      if (end - p < 1) return Status(Code::kDataLoss, "truncated response frame");
+      uint8_t code = *p++;
+      if (code > static_cast<uint8_t>(Code::kAborted)) {
+        return Status(Code::kDataLoss, "invalid status code");
+      }
+      out.status = static_cast<Code>(code);
+      out.payload = bytes(p);
+      break;
     }
-    end_ += static_cast<size_t>(got);
+    case FrameType::kStreamOpen: {
+      if (end - p < 2) return Status(Code::kDataLoss, "truncated stream-open frame");
+      uint16_t name_len = load_le<uint16_t>(p);
+      p += 2;
+      if (end - p != name_len) {
+        return Status(Code::kDataLoss, "stream-open length mismatch");
+      }
+      out.method = text(p, name_len);
+      break;
+    }
+    case FrameType::kStreamChunk:
+      out.payload = bytes(p);
+      break;
+    case FrameType::kStreamEnd:
+      if (end != p) return Status(Code::kDataLoss, "stream-end frame carries bytes");
+      break;
+    case FrameType::kStreamCredit:
+      if (end - p != 4) return Status(Code::kDataLoss, "bad stream-credit frame length");
+      out.credit = load_le<uint32_t>(p);
+      break;
+    case FrameType::kStreamAbort: {
+      if (end - p != 1) return Status(Code::kDataLoss, "bad stream-abort frame length");
+      uint8_t code = *p;
+      if (code > static_cast<uint8_t>(Code::kAborted)) {
+        return Status(Code::kDataLoss, "invalid status code");
+      }
+      out.status = static_cast<Code>(code);
+      break;
+    }
   }
   return Status::ok();
 }
 
-StatusOr<AnyFrame> FrameReader::next() {
-  if (begin_ == end_) begin_ = end_ = 0;  // all parsed: recv into the whole buffer
-  DPURPC_RETURN_IF_ERROR(fill(4));
+}  // namespace
+
+Status FrameReader::receive(bool block) {
+  if (big_need_ == 0 && !big_.empty()) Bytes().swap(big_);  // taken last time
+  std::byte* dst;
+  size_t room;
+  if (big_need_ != 0) {
+    dst = big_.data() + big_have_;
+    room = big_need_ - big_have_;
+  } else {
+    // Slide the unparsed tail (at most one partial frame once take_frame() has
+    // run dry) to the front, so the whole buffer behind it is free.
+    if (begin_ != 0) {
+      std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+    }
+    dst = buf_.data() + end_;
+    room = buf_.size() - end_;
+  }
+  if (room == 0) return Status::ok();  // full of whole frames: take_frame() first
+  for (;;) {
+    ssize_t got = ::recv(fd_.get(), dst, room, block ? 0 : MSG_DONTWAIT);
+    if (got > 0) {
+      (big_need_ != 0 ? big_have_ : end_) += static_cast<size_t>(got);
+      return Status::ok();
+    }
+    if (got == 0) {
+      return Status(Code::kUnavailable, end_ == begin_ && big_need_ == 0
+                                            ? "peer closed connection"
+                                            : "peer closed mid-frame");
+    }
+    if (errno == EINTR) continue;
+    if (!block && (errno == EAGAIN || errno == EWOULDBLOCK)) return Status::ok();
+    return Status(Code::kUnavailable, std::string("recv: ") + std::strerror(errno));
+  }
+}
+
+StatusOr<bool> FrameReader::take_frame(FrameView& out) {
+  if (big_need_ != 0) {
+    if (big_have_ < big_need_) return false;
+    const auto body = static_cast<uint32_t>(big_need_);
+    big_need_ = 0;  // big_ itself lives until the next receive()
+    DPURPC_RETURN_IF_ERROR(parse_view(big_.data(), body, out));
+    return true;
+  }
+  if (end_ - begin_ < 4) return false;
   const uint32_t body =
       load_le<uint32_t>(reinterpret_cast<const uint8_t*>(buf_.data() + begin_));
   if (body < 5 || body > kMaxFrameBody) {
     return Status(Code::kDataLoss, "xrpc frame length out of range");
   }
-  if (4 + size_t{body} <= buf_.size()) {
-    DPURPC_RETURN_IF_ERROR(fill(4 + size_t{body}));
-    const std::byte* data = buf_.data() + begin_ + 4;
-    begin_ += 4 + size_t{body};
-    return parse_frame(data, body);
+  if (4 + size_t{body} > buf_.size()) {
+    // Larger than the buffer: move what already arrived into the frame's
+    // own allocation; receive() reads the rest straight into it.
+    // dpulint: allow(hot-path): only a frame larger than the 64 KiB buffer
+    // (a big stream chunk) gets its own allocation, once per frame.
+    big_.resize(body);
+    big_have_ = end_ - begin_ - 4;
+    std::memcpy(big_.data(), buf_.data() + begin_ + 4, big_have_);
+    big_need_ = body;
+    begin_ = end_ = 0;
+    return false;
   }
-  // Larger than the buffer: move what already arrived into the frame's
-  // own allocation and read the rest straight into it.
-  Bytes big(body);
-  const size_t have = end_ - begin_ - 4;
-  std::memcpy(big.data(), buf_.data() + begin_ + 4, have);
-  begin_ = end_ = 0;
-  DPURPC_RETURN_IF_ERROR(read_all(fd_, big.data() + have, body - have));
-  return parse_frame(big.data(), body);
+  if (end_ - begin_ < 4 + size_t{body}) return false;
+  const std::byte* data = buf_.data() + begin_ + 4;
+  begin_ += 4 + size_t{body};
+  DPURPC_RETURN_IF_ERROR(parse_view(data, body, out));
+  return true;
+}
+
+StatusOr<AnyFrame> FrameReader::next() {
+  FrameView v;
+  for (;;) {
+    DPURPC_ASSIGN_OR_RETURN(bool got, take_frame(v));
+    if (got) break;
+    DPURPC_RETURN_IF_ERROR(receive(/*block=*/true));
+  }
+  AnyFrame f;
+  f.type = v.type;
+  Bytes payload(v.payload.begin(), v.payload.end());
+  if (v.type == FrameType::kRequest) {
+    f.request = {v.call_id, std::string(v.method), std::move(payload), v.trace};
+  } else if (v.type == FrameType::kResponse) {
+    f.response = {v.call_id, v.status, std::move(payload), v.trace};
+  } else {
+    f.stream = {v.call_id, std::string(v.method), std::move(payload), v.credit,
+                v.status, v.trace};
+  }
+  return f;
 }
 
 }  // namespace dpurpc::xrpc

@@ -97,7 +97,21 @@ Status write_stream_end(const Fd& fd, uint32_t call_id);
 Status write_stream_credit(const Fd& fd, uint32_t call_id, uint32_t bytes);
 Status write_stream_abort(const Fd& fd, uint32_t call_id, Code code);
 
-/// Either kind of inbound frame.
+/// One inbound frame as views into the reader's memory (FrameReader::
+/// take_frame): nothing is copied, and `method`/`payload` stay valid until the
+/// reader's next receive().
+struct FrameView {
+  FrameType type = FrameType::kRequest;
+  uint32_t call_id = 0;
+  FrameTrace trace;
+  std::string_view method;  ///< kRequest, kStreamOpen
+  ByteSpan payload;         ///< kRequest, kResponse, kStreamChunk
+  Code status = Code::kOk;  ///< kResponse, kStreamAbort
+  uint32_t credit = 0;      ///< kStreamCredit
+};
+
+/// An inbound frame copied out of the reader (FrameReader::next), for
+/// readers that keep frames past the next read.
 struct AnyFrame {
   FrameType type = FrameType::kRequest;
   RequestFrame request;
@@ -105,12 +119,15 @@ struct AnyFrame {
   StreamFrame stream;  ///< valid for the kStream* types
 };
 
-/// Buffered inbound framing, one per reader thread. Each recv() takes as
-/// many bytes as the socket holds into one reusable buffer, and next()
-/// hands out every complete frame in it before the following recv() — so
-/// a burst of small frames costs one syscall, not two per frame. A frame
-/// larger than the buffer (a big stream chunk) is gathered into its own
-/// allocation; the buffer never grows. A declared length outside
+/// Buffered inbound framing, one per connection. Each receive() is one
+/// recv() that takes as many bytes as the socket holds into one reusable
+/// buffer, and take_frame() hands out every complete frame in it, as views,
+/// before the following receive() — so a burst of small frames costs one
+/// syscall and no allocation. receive() blocks only when asked to: a
+/// poller that owns many connections reads each without blocking and
+/// sleeps in poll() instead. A frame larger than the buffer (a big stream
+/// chunk) is gathered into its own allocation across as many receive()
+/// calls as it takes; the buffer never grows. A declared length outside
 /// [5, kMaxFrameBody] fails with kDataLoss before any body is read or
 /// allocated.
 class FrameReader {
@@ -120,18 +137,31 @@ class FrameReader {
   /// `fd` must outlive the reader.
   explicit FrameReader(const Fd& fd) : fd_(fd), buf_(kBufferBytes) {}
 
-  /// Blocking read of the next frame; kUnavailable when the peer closes
-  /// (cleanly or mid-frame), kDataLoss on a malformed frame.
+  /// One recv() of whatever the socket holds — without blocking unless
+  /// `block` — into the buffer, or into the frame being gathered.
+  /// Invalidates every view take_frame() handed out. Ok when a non-blocking
+  /// recv found nothing; kUnavailable when the peer closed (cleanly or
+  /// mid-frame) or the socket failed.
+  Status receive(bool block);
+
+  /// The next complete frame already received, as views into the
+  /// reader's memory; false when none is. kDataLoss on a malformed frame.
+  StatusOr<bool> take_frame(FrameView& out);
+
+  /// Blocking read of the next frame, copied out of the reader's memory.
+  /// kUnavailable when the peer closes, kDataLoss on a malformed frame.
   StatusOr<AnyFrame> next();
 
  private:
-  /// Make at least `n` (<= kBufferBytes) unparsed bytes available.
-  Status fill(size_t n);
-
   const Fd& fd_;
   Bytes buf_;
   size_t begin_ = 0;  ///< first unparsed byte
   size_t end_ = 0;    ///< one past the last received byte
+  /// A frame larger than buf_, gathered in its own allocation: body
+  /// bytes expected (0 = none being gathered) and received so far.
+  Bytes big_;
+  size_t big_need_ = 0;
+  size_t big_have_ = 0;
 };
 
 }  // namespace dpurpc::xrpc

@@ -49,6 +49,8 @@ void ReplyBatch::add(const Responder& to, Code status, ByteSpan payload) {
     return;
   }
   if (out == nullptr) {
+    // dpulint: allow(hot-path): one slot per connection a turn answers;
+    // slots are reused turn after turn.
     if (used_ == outs_.size()) outs_.emplace_back();
     last_ = used_++;
     out = &outs_[last_];
@@ -61,6 +63,9 @@ void ReplyBatch::add(const Responder& to, Code status, ByteSpan payload) {
 void ReplyBatch::send(Out& out) {
   if (out.buf.empty()) return;
   {
+    // dpulint: allow(hot-path): the connection's frame lock, uncontended
+    // when one lane owns the connection; taken once per send, not per
+    // reply.
     lockdep::ScopedLock wl(out.conn->write_mu);
     // A failed write (peer gone) loses only this connection's replies.
     (void)write_all(out.conn->fd, out.buf.data(), out.buf.size());
@@ -83,6 +88,7 @@ size_t ReplyBatch::flush() {
          kept_bytes + outs_[keep].buf.capacity() <= FrameReader::kBufferBytes) {
     kept_bytes += outs_[keep++].buf.capacity();
   }
+  // dpulint: allow(hot-path): shrinks only.
   outs_.resize(keep);
   size_t sends = sends_;
   sends_ = 0;

@@ -56,8 +56,7 @@ class ServerStream {
 
   uint32_t call_id() const noexcept { return call_id_; }
 
- private:
-  friend class Server;
+  /// Run the installed callbacks (the connection's reader thread does).
   void deliver_chunk(Bytes chunk) {
     if (chunk_fn_) chunk_fn_(std::move(chunk));
   }
@@ -68,6 +67,7 @@ class ServerStream {
     if (abort_fn_) abort_fn_(code);
   }
 
+ private:
   std::shared_ptr<ConnState> conn_;
   uint32_t call_id_;
   ChunkFn chunk_fn_;

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/cpu_timer.hpp"
 #include "common/endian.hpp"
 #include "common/rng.hpp"
 #include "grpccompat/dpu_proxy.hpp"
@@ -925,6 +926,223 @@ TEST_F(OffloadFixture, StopWithRepliesInFlightAnswersEachCallExactlyOnce) {
   for (int i = 0; i < kCalls; ++i) EXPECT_EQ(answers[i].load(), 1) << "call " << i;
   EXPECT_EQ(ok.load() + unavailable.load(), kCalls);
   EXPECT_EQ(other.load(), 0);
+}
+
+// ------------------------------------------------ run-to-completion lanes
+
+/// Host stream handler for kv.KvStore/Put: answers each stream with the
+/// FNV-1a digest of every byte it received.
+Status register_put_digest(HostEngine& host, std::mutex& mu,
+                           std::map<uint32_t, Bytes>& accumulated) {
+  return host.register_stream(
+      "kv.KvStore/Put", [&](const ServerContext&, uint32_t stream_id, ByteSpan chunk,
+                            bool end, Bytes& final_response) {
+        std::lock_guard<std::mutex> lk(mu);
+        Bytes& acc = accumulated[stream_id];
+        if (end) {
+          final_response.resize(8);
+          store_le(final_response.data(), fnv1a(ByteSpan(acc)));
+          accumulated.erase(stream_id);
+          return Status::ok();
+        }
+        acc.insert(acc.end(), chunk.begin(), chunk.end());
+        return Status::ok();
+      });
+}
+
+/// Concatenated kv.PutRequest records, at least `bytes` long.
+Bytes put_records(const proto::DescriptorPool& pool, size_t bytes, uint64_t seed) {
+  const auto* desc = pool.find_message("kv.PutRequest");
+  std::mt19937_64 rng(seed);
+  Bytes out;
+  for (int i = 0; out.size() < bytes; ++i) {
+    proto::DynamicMessage m(desc);
+    m.set_string(desc->field_by_name("key"), "k" + std::to_string(i));
+    m.set_string(desc->field_by_name("value"), random_ascii(rng, 300 + rng() % 700));
+    Bytes wire = proto::WireCodec::serialize(m);
+    out.insert(out.end(), wire.begin(), wire.end());
+  }
+  return out;
+}
+
+TEST_F(OffloadFixture, OneLaneServesEightConnectionsWithInterleavedUnaryAndStreams) {
+  // One lane owns all eight connections and reads them in turn. Each
+  // client interleaves unary calls with streams; one closes its socket in
+  // the middle of a stream, which the lane must see as that stream's
+  // abort while the other seven carry on.
+  std::mutex mu;
+  std::map<uint32_t, Bytes> accumulated;
+  ASSERT_TRUE(register_put_digest(*host_, mu, accumulated).is_ok());
+  ASSERT_TRUE(register_get_echo(*host_).is_ok());
+  start_host_loop();
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  StreamOptions sopts;
+  sopts.per_stream_budget = 128 * 1024;
+  sopts.piece_target = 16 * 1024;
+  proxy_->set_stream_options(sopts);
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+  ASSERT_EQ(proxy_->lane_count(), 1u);
+
+  constexpr int kConns = 8, kRounds = 3, kCallsPerRound = 5, kQuitter = 5;
+  const Bytes records = put_records(pool_, 200 * 1024, kDefaultSeed);
+  const uint64_t digest = fnv1a(ByteSpan(records));
+  std::atomic<int> unary_ok{0}, streams_ok{0}, failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConns; ++c) {
+    clients.emplace_back([&, c] {
+      auto chan = xrpc::Channel::connect(*port);
+      if (!chan.is_ok()) {
+        ++failures;
+        return;
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < kCallsPerRound; ++i) {
+          const std::string key = std::to_string(c) + "/" + std::to_string(round) +
+                                  "/" + std::to_string(i);
+          Bytes wire = get_request(pool_, key);
+          auto resp = (*chan)->call("kv.KvStore/Get", ByteSpan(wire), 5000);
+          if (resp.is_ok() && get_value(pool_, ByteSpan(*resp)) == key + "!") {
+            ++unary_ok;
+          } else {
+            ++failures;
+          }
+        }
+        auto stream = (*chan)->open_stream("kv.KvStore/Put");
+        if (!stream.is_ok()) {
+          ++failures;
+          return;
+        }
+        const bool quit = c == kQuitter && round == 1;
+        const size_t stop_at = quit ? records.size() / 2 : records.size();
+        for (size_t off = 0; off < stop_at; off += 8 * 1024) {
+          const size_t n = std::min<size_t>(8 * 1024, stop_at - off);
+          if (!(*stream)->write(ByteSpan(records.data() + off, n)).is_ok()) ++failures;
+        }
+        if (quit) {
+          // Close the socket with the stream open: no abort frame, the
+          // lane only sees the connection end.
+          (*chan)->close();
+          return;
+        }
+        auto resp = (*stream)->finish(30000);
+        if (resp.is_ok() && resp->size() == 8 && load_le<uint64_t>(resp->data()) == digest) {
+          ++streams_ok;
+        } else {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(unary_ok.load(), kConns * kRounds * kCallsPerRound - kCallsPerRound);
+  EXPECT_EQ(streams_ok.load(), kConns * kRounds - 2);
+  // The closed connection's stream was aborted, and every byte any
+  // stream held inside the proxy was released.
+  for (int i = 0; i < 400 && (proxy_->stats().stream_aborts.load() == 0 ||
+                              proxy_->stats().stream_held_bytes.load() != 0);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(proxy_->stats().stream_aborts.load(), 1u);
+  EXPECT_EQ(proxy_->stats().stream_held_bytes.load(), 0u);
+  EXPECT_LE(proxy_->stats().stream_peak_bytes.load(), sopts.per_stream_budget);
+}
+
+TEST_F(OffloadFixture, TricklingOversizedChunkDoesNotDelayAnotherConnection) {
+  // A stream chunk larger than the reader's buffer arrives a piece at a
+  // time on one connection. The lane gathers it across turns and keeps
+  // serving unary calls from another connection in between; a lane that
+  // blocked on the half-received frame would time those calls out.
+  std::mutex mu;
+  std::map<uint32_t, Bytes> accumulated;
+  ASSERT_TRUE(register_put_digest(*host_, mu, accumulated).is_ok());
+  ASSERT_TRUE(register_get_echo(*host_).is_ok());
+  start_host_loop();
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+
+  const Bytes records = put_records(pool_, 4 * xrpc::FrameReader::kBufferBytes,
+                                    kDefaultSeed);
+  ASSERT_LT(records.size(), proxy_->stream_options().per_stream_budget);
+  auto raw = xrpc::dial(*port);
+  ASSERT_TRUE(raw.is_ok());
+  constexpr uint32_t kCall = 1;
+  ASSERT_TRUE(xrpc::write_stream_open(*raw, kCall, "kv.KvStore/Put").is_ok());
+  // One kStreamChunk frame, encoded from the documented layout.
+  Bytes frame(9);
+  store_le<uint32_t>(frame.data(), static_cast<uint32_t>(5 + records.size()));
+  frame[4] = static_cast<std::byte>(xrpc::FrameType::kStreamChunk);
+  store_le<uint32_t>(frame.data() + 5, kCall);
+  frame.insert(frame.end(), records.begin(), records.end());
+
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+  const size_t kPieces = 8;
+  const size_t piece = frame.size() / kPieces + 1;
+  uint64_t worst_ns = 0;
+  for (size_t off = 0, i = 0; off < frame.size(); off += piece, ++i) {
+    const size_t n = std::min(piece, frame.size() - off);
+    ASSERT_TRUE(xrpc::write_all(*raw, frame.data() + off, n).is_ok());
+    // While the chunk is incomplete, the other connection is served.
+    const std::string key = "between-" + std::to_string(i);
+    Bytes wire = get_request(pool_, key);
+    const uint64_t t0 = WallTimer::now();
+    auto resp = (*chan)->call("kv.KvStore/Get", ByteSpan(wire), 2000);
+    worst_ns = std::max(worst_ns, WallTimer::now() - t0);
+    ASSERT_TRUE(resp.is_ok()) << "piece " << i << ": " << resp.status().to_string();
+    EXPECT_EQ(get_value(pool_, ByteSpan(*resp)), key + "!");
+  }
+  EXPECT_LT(worst_ns, 1'000'000'000u);
+  ASSERT_TRUE(xrpc::write_stream_end(*raw, kCall).is_ok());
+  xrpc::FrameReader reader(*raw);
+  for (;;) {
+    auto f = reader.next();
+    ASSERT_TRUE(f.is_ok()) << f.status().to_string();
+    if (f->type != xrpc::FrameType::kResponse) continue;  // credit grants
+    ASSERT_EQ(f->response.call_id, kCall);
+    ASSERT_EQ(f->response.status, Code::kOk);
+    ASSERT_EQ(f->response.payload.size(), 8u);
+    EXPECT_EQ(load_le<uint64_t>(f->response.payload.data()), fnv1a(ByteSpan(records)));
+    break;
+  }
+  EXPECT_EQ(proxy_->stats().stream_bytes.load(), records.size());
+}
+
+TEST_F(OffloadFixture, StopOnAnIdleLaneReturnsPromptly) {
+  // An idle lane sleeps in poll() with no timeout; stop() must wake it
+  // through its completion channel, not wait for a timer.
+  ASSERT_TRUE(register_get_echo(*host_).is_ok());
+  start_host_loop();
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+  Bytes wire = get_request(pool_, "idle");
+  ASSERT_TRUE((*chan)->call("kv.KvStore/Get", ByteSpan(wire), 2000).is_ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // lane idles
+  const uint64_t t0 = WallTimer::now();
+  proxy_->stop();
+  EXPECT_LT(WallTimer::now() - t0, 100'000'000u);
+  // The lane closed its socket: nothing answers any more.
+  EXPECT_FALSE((*chan)->call("kv.KvStore/Get", ByteSpan(wire), 200).is_ok());
+}
+
+TEST_F(OffloadFixture, MetricsScrapeIsAnsweredThroughTheProxyPort) {
+  start_host_loop();
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+  auto text = (*chan)->call(std::string(xrpc::kMetricsMethod), {}, 2000);
+  ASSERT_TRUE(text.is_ok()) << text.status().to_string();
+  EXPECT_NE(as_string_view(ByteSpan(*text)).find("dpurpc_xrpc_reply_writes_total"),
+            std::string_view::npos);
+  EXPECT_EQ(host_->requests_served(), 0u);  // answered on the DPU
 }
 
 }  // namespace

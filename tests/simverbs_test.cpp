@@ -3,9 +3,14 @@
 // byte accounting, and fault injection.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+
+#include <atomic>
 #include <cstring>
+#include <random>
 #include <thread>
 
+#include "common/rng.hpp"
 #include "dpu/dpu_model.hpp"
 #include "simverbs/simverbs.hpp"
 
@@ -265,6 +270,66 @@ TEST(CompletionChannelTest, InterruptWakesWaiter) {
   });
   EXPECT_TRUE(chan.wait(1000));
   waker.join();
+}
+
+TEST(CompletionChannelTest, EventWithNobodyArmedWritesNoFdButIsNotLost) {
+  // ibv_req_notify_cq semantics: a busy poller (not armed) pays no
+  // syscall per event, and the next arm() still sees what it missed.
+  CompletionChannel chan;
+  chan.interrupt();
+  chan.interrupt();
+  pollfd p{chan.fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&p, 1, 0), 0);  // fd untouched
+  EXPECT_FALSE(chan.arm());        // pending event: do not sleep
+  EXPECT_TRUE(chan.arm());         // consumed: nothing pending now
+  EXPECT_EQ(::poll(&p, 1, 0), 0);
+  EXPECT_FALSE(chan.disarm(false));
+  EXPECT_FALSE(chan.wait(1));
+}
+
+TEST(CompletionChannelTest, NotifyBetweenArmAndPollStillWakesThePoller) {
+  // The race an external poll() must survive: the event lands after the
+  // poller armed but before it entered poll(). Armed means the fd is
+  // written, so poll() returns at once.
+  CompletionChannel chan;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(chan.arm());
+    std::thread notifier([&] { chan.interrupt(); });
+    notifier.join();
+    pollfd p{chan.fd(), POLLIN, 0};
+    ASSERT_EQ(::poll(&p, 1, 5000), 1) << "iteration " << i;
+    ASSERT_TRUE(chan.disarm(true));
+    EXPECT_EQ(::poll(&p, 1, 0), 0);  // drained
+  }
+}
+
+TEST(CompletionChannelTest, ConcurrentNotifiesAreNeverMissed) {
+  // A notifier fires at arbitrary points of the waiter's arm → poll →
+  // disarm cycle (run under TSan in CI). Every round's event must end
+  // that round's wait long before its timeout.
+  CompletionChannel chan;
+  constexpr int kRounds = 500;
+  std::atomic<int> round{-1};
+  std::thread notifier([&] {
+    std::mt19937 rng(kDefaultSeed);
+    for (int r = 0; r < kRounds; ++r) {
+      while (round.load() < r) std::this_thread::yield();
+      for (uint32_t spin = rng() % 2000; spin > 0; --spin) {
+        std::atomic_signal_fence(std::memory_order_seq_cst);
+      }
+      chan.interrupt();
+    }
+  });
+  for (int r = 0; r < kRounds; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    round.store(r);
+    // One event per round, fired only after this store: a wait that
+    // returns true has seen exactly this round's event.
+    ASSERT_TRUE(chan.wait(5000)) << "round " << r;
+    ASSERT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2))
+        << "round " << r;
+  }
+  notifier.join();
 }
 
 TEST(FaultInjectionTest, DroppedSendVanishesSilently) {

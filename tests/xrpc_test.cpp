@@ -541,6 +541,69 @@ TEST(FrameReader, MegabyteStreamChunkRoundTrips) {
   EXPECT_EQ(end->stream.call_id, 9u);
 }
 
+TEST(FrameReader, NonBlockingReceiveGathersALargeFrameAcrossCalls) {
+  // The poller's path: each receive() is one recv that never blocks, and
+  // take_frame() yields views into the reader. A frame larger than the buffer
+  // is gathered over as many receive() calls as it takes.
+  auto [writer, reader_fd] = socket_pair();
+  FrameReader reader(reader_fd);
+  FrameView f;
+  ASSERT_TRUE(reader.receive(/*block=*/false).is_ok());  // nothing yet
+  auto none = reader.take_frame(f);
+  ASSERT_TRUE(none.is_ok());
+  EXPECT_FALSE(*none);
+
+  // Two small frames from one send: one receive, two views.
+  Bytes two = request_frame(1, "a/b", "first");
+  Bytes second = request_frame(2, "c/d", "second");
+  two.insert(two.end(), second.begin(), second.end());
+  ASSERT_TRUE(write_all(writer, two.data(), two.size()).is_ok());
+  ASSERT_TRUE(reader.receive(false).is_ok());
+  FrameView a, b;
+  ASSERT_TRUE(*reader.take_frame(a));
+  ASSERT_TRUE(*reader.take_frame(b));
+  EXPECT_EQ(a.call_id, 1u);
+  EXPECT_EQ(a.method, "a/b");
+  EXPECT_EQ(as_string_view(a.payload), "first");  // still valid after take_frame(b)
+  EXPECT_EQ(b.method, "c/d");
+  EXPECT_EQ(as_string_view(b.payload), "second");
+  EXPECT_FALSE(*reader.take_frame(f));
+
+  // A stream chunk four times the buffer, sent in pieces.
+  std::mt19937_64 rng(kDefaultSeed);
+  const std::string chunk = random_bytes(rng, 4 * FrameReader::kBufferBytes);
+  Bytes frame(9);
+  store_le<uint32_t>(frame.data(), static_cast<uint32_t>(5 + chunk.size()));
+  frame[4] = static_cast<std::byte>(FrameType::kStreamChunk);
+  store_le<uint32_t>(frame.data() + 5, 7);
+  const ByteSpan body = as_bytes_view(chunk);
+  frame.insert(frame.end(), body.begin(), body.end());
+  size_t sent = 0;
+  int receives = 0;
+  bool got = false;
+  while (!got) {
+    if (sent < frame.size()) {
+      const size_t n = std::min<size_t>(20000, frame.size() - sent);
+      ASSERT_TRUE(write_all(writer, frame.data() + sent, n).is_ok());
+      sent += n;
+    }
+    ASSERT_TRUE(reader.receive(false).is_ok());
+    ++receives;
+    auto taken = reader.take_frame(f);
+    ASSERT_TRUE(taken.is_ok()) << taken.status().to_string();
+    got = *taken;
+    ASSERT_TRUE(got || sent < frame.size() || receives < 100);
+  }
+  EXPECT_GT(receives, 4);
+  EXPECT_EQ(f.type, FrameType::kStreamChunk);
+  EXPECT_EQ(f.call_id, 7u);
+  EXPECT_TRUE(as_string_view(f.payload) == chunk);
+
+  // The peer closing is reported by the next receive(), not by take_frame().
+  writer.reset();
+  EXPECT_EQ(reader.receive(false).code(), Code::kUnavailable);
+}
+
 // ------------------------------------------------------------- ReplyBatch
 
 /// One end of a socket pair as a server connection; the other end reads.
