@@ -94,11 +94,11 @@ service Datapath {
 constexpr uint32_t kFetchValues = 4096;
 constexpr size_t kIntsValues = 4096;
 
-/// Server-side heap allocations per Tiny call after warm-up: 1.70 when
-/// the gate was set (one host block tracker per call plus simverbs and
-/// rdmarpc deque nodes; the xRPC edge and the proxy lane allocate
-/// nothing), plus 0.5.
-constexpr double kTinyServerAllocGate = 2.2;
+/// Server-side heap allocations per Tiny call after warm-up: 0.70 when
+/// the gate was set (simverbs and rdmarpc deque nodes; the xRPC edge, the
+/// proxy lane and the host's recycled block trackers allocate nothing),
+/// plus 0.5.
+constexpr double kTinyServerAllocGate = 1.2;
 
 /// Waits for one asynchronous reply; marks the channel's reader thread
 /// as client-side the first time it runs a callback.

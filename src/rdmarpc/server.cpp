@@ -216,7 +216,14 @@ Status RpcServer::process_request_block(const Connection::ReceivedBlock& rb) {
   // Deferred acknowledgment bookkeeping: the block becomes acknowledgeable
   // once iterated AND all its background requests completed — and acks are
   // delivered strictly in receive order (the counter is a FIFO cursor).
-  auto tracker = std::make_shared<BlockTracker>();
+  std::shared_ptr<BlockTracker> tracker;
+  if (tracker_pool_.empty()) {
+    tracker = std::make_shared<BlockTracker>();
+  } else {
+    tracker = std::move(tracker_pool_.back());
+    tracker_pool_.pop_back();
+    *tracker = BlockTracker{};
+  }
   ack_order_.push_back(tracker);
 
   // Step 2: allocate IDs for this block's requests, in message order —
@@ -287,6 +294,7 @@ Status RpcServer::process_request_block(const Connection::ReceivedBlock& rb) {
     DPURPC_RETURN_IF_ERROR(dispatch_foreground(req, recv_ns));
   }
   tracker->iterated = true;
+  tracker.reset();  // so advance_ack_order can recycle it
   advance_ack_order();
   return Status::ok();
 }
@@ -410,6 +418,9 @@ void RpcServer::advance_ack_order() {
   while (!ack_order_.empty() && ack_order_.front()->iterated &&
          ack_order_.front()->outstanding == 0) {
     conn_->note_peer_block_processed();
+    if (ack_order_.front().use_count() == 1) {
+      tracker_pool_.push_back(std::move(ack_order_.front()));
+    }
     ack_order_.pop_front();
   }
 }

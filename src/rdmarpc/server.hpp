@@ -211,6 +211,9 @@ class RpcServer {
   // Background execution (§III.D extension).
   std::map<uint16_t, Handler> background_handlers_;
   std::deque<std::shared_ptr<BlockTracker>> ack_order_;  ///< receive order
+  /// Acknowledged trackers no background result still holds, reused by the
+  /// next blocks so the steady state allocates no tracker per block.
+  std::vector<std::shared_ptr<BlockTracker>> tracker_pool_;
   std::unique_ptr<BoundedQueue<BackgroundTask>> task_queue_;
   std::unique_ptr<BoundedQueue<BackgroundResult>> result_queue_;
   std::vector<std::thread> workers_;

@@ -7,28 +7,28 @@
 // every element serializes behind a load → test → advance chain, and the
 // ~50/50 length branch defeats the predictor on random data.
 //
-// This decoder breaks the chain with a two-phase, chunked design:
+// This decoder breaks the chain in one fused pass over 64-byte windows.
+// A window's continuation bits become a 64-bit terminator mask (two AVX2
+// movemasks, or SWAR on the portable path). Walking the mask with
+// tzcnt/blsr yields every element's start and length without touching the
+// bytes again, and each element decodes from one 8-byte load and one pext
+// under a per-length mask (mask and shift-or compaction on the portable
+// path), stored straight into the output slot. The only loop-carried
+// dependence is the mask's blsr, so elements overlap in the pipeline.
+// count_varint_terminators, the element count a caller sizes its output
+// with, is the same mask with a popcount.
 //
-//   Phase A (collect_starts): scan the payload 8 bytes at a time. Each
-//   word's continuation-bit mask, compressed to an 8-bit index, looks up a
-//   precomputed table of packed 16-bit terminator positions, which are
-//   rebased with a single 64-bit add (four lanes at once — chunk windows
-//   are < 64 KiB so lanes cannot carry) and stored with two 8-byte writes.
-//   No per-element work, no data-dependent branches, and per-word chains
-//   are independent, so the scan runs at memory/issue throughput.
+// Elements longer than 8 bytes (legal 9–10-byte u64 varints, overlong
+// forms) are decoded in place by the bounds-checked scalar decoder and the
+// walk carries on. The last window (fewer than 72 bytes before `end`) is
+// walked over a zero-padded copy, so no probe reads past `end`. The
+// accepted language is therefore byte-for-byte decode_varint's (wire_test
+// has the differential tests).
 //
-//   Phase B: with every element's start offset known, elements decode
-//   independently of each other — an 8-byte probe, 7-bit compaction, and
-//   a length mask per element, fully pipelined across elements. On x86
-//   with BMI2 the compaction is a single pext and the mask a single bzhi;
-//   the kernels carry a target attribute and are picked at runtime via
-//   __builtin_cpu_supports, so the build stays baseline-portable.
-//
-// Encodings longer than 8 bytes (legal 9–10-byte u64 varints, overlong
-// forms) and elements within 8 bytes of the buffer end fall back to the
-// bounds-checked scalar decoder, so the accepted language is byte-for-byte
-// identical to decode_varint's (wire_test has the randomized differential
-// property).
+// Both kernels are instantiations of one template: native (AVX2 + BMI2,
+// chosen once at runtime via __builtin_cpu_supports, so the build stays
+// baseline-portable) and portable. They stay out of line, so a caller's
+// code keeps its shape.
 //
 // The *encoding* direction (serialize plans, packed payload emission) has
 // the same latency problem in reverse — the write position of element k+1
@@ -43,9 +43,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <type_traits>
 
 #include "common/hot_path.hpp"
 #include "wire/varint.hpp"
@@ -53,150 +53,184 @@
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define DPURPC_VARINT_BATCH_X86 1
 #include <immintrin.h>
+/// The native decode kernels' ISA: AVX2 movemask, BMI1 tzcnt/blsr,
+/// POPCNT, BMI2 pext.
+#define DPURPC_VARINT_NATIVE __attribute__((target("avx2,bmi,bmi2,popcnt")))
 #endif
 
 namespace dpurpc::wire {
-
-/// Count varint terminators (bytes without the continuation bit) in
-/// [p, end): the element count of a packed varint payload. Written as a
-/// plain byte loop on purpose — compilers auto-vectorize it far better
-/// than any hand-rolled word trick.
-inline uint32_t count_varint_terminators(const uint8_t* p, const uint8_t* end) noexcept {
-  uint32_t count = 0;
-  for (; p != end; ++p) count += (*p & 0x80) == 0;
-  return count;
-}
-
 namespace detail {
 
 inline constexpr uint64_t kMsbMask = 0x8080808080808080ull;
 inline constexpr uint64_t kLow7Mask = 0x7f7f7f7f7f7f7f7full;
+inline constexpr uint32_t kWindow = 64;
 
-/// For every 8-bit terminator mask: the 1-based byte positions of its set
-/// bits (= the chunk-relative start of the element after each terminator),
-/// packed as four 16-bit lanes per qword, plus the set-bit count. Lanes
-/// beyond the count are zero; phase A overwrites them with the next word's
-/// entries because the cursor only advances by the real count.
-struct PosTables {
-  uint64_t lo[256];
-  uint64_t hi[256];
-  uint8_t cnt[256];
-};
-
-constexpr PosTables make_pos_tables() {
-  PosTables t{};
-  for (unsigned m = 0; m < 256; ++m) {
-    uint64_t lanes[8] = {};
-    int j = 0;
-    for (unsigned b = 0; b < 8; ++b) {
-      if (m & (1u << b)) lanes[j++] = b + 1;
-    }
-    t.lo[m] = lanes[0] | lanes[1] << 16 | lanes[2] << 32 | lanes[3] << 48;
-    t.hi[m] = lanes[4] | lanes[5] << 16 | lanes[6] << 32 | lanes[7] << 48;
-    t.cnt[m] = static_cast<uint8_t>(j);
-  }
+/// kValueMask[len]: the payload bits of a `len`-byte varint's bytes
+/// (1 <= len <= 8) in an 8-byte little-endian load.
+inline constexpr auto kValueMask = [] {
+  std::array<uint64_t, 9> t{};
+  for (uint32_t len = 1; len <= 8; ++len) t[len] = kLow7Mask >> (64 - 8 * len);
   return t;
-}
+}();
 
-inline constexpr PosTables kPos = make_pos_tables();
-
-/// Phase A: record the chunk-relative starts of up to `limit` elements of
-/// [p, p + window) into s16 (s16[k] = start of element k; s16[0] = 0).
-/// Returns the number of *complete* elements found. `window` must be
-/// < 0xFFF8 so every position fits a uint16. s16 needs limit + 16 entries
-/// of slack for the unconditional 8-lane stores.
-inline uint32_t collect_starts(const uint8_t* p, uint32_t window, uint16_t* s16,
-                               uint32_t limit) noexcept {
-  uint32_t n = 0, off = 0;
-  s16[0] = 0;
-  while (n < limit && off + 8 <= window) {
-    uint64_t w;
-    std::memcpy(&w, p + off, 8);
-    const uint64_t x = (~w & kMsbMask) >> 7;
-    // Gather the eight per-byte flags into one byte: flag j sits at bit 8j,
-    // and the multiplier places it at bit 56 + j with no cross-term carry.
-    const auto m8 = static_cast<uint32_t>((x * 0x0102040810204080ull) >> 56);
-    const uint64_t bcast = static_cast<uint64_t>(off) * 0x0001000100010001ull;
-    const uint64_t lo = kPos.lo[m8] + bcast;
-    const uint64_t hi = kPos.hi[m8] + bcast;
-    std::memcpy(s16 + n + 1, &lo, 8);
-    std::memcpy(s16 + n + 5, &hi, 8);
-    n += kPos.cnt[m8];
-    off += 8;
+struct PortableIsa {
+  /// Bit j set iff p[j] (j < 64) ends an element. Per word, the multiplier
+  /// gathers the eight terminator flags (bit 8j) into bits 56..63 with no
+  /// cross-term carry.
+  static uint64_t terminators(const uint8_t* p) noexcept {
+    uint64_t m = 0;
+    for (uint32_t k = 0; k < kWindow; k += 8) {
+      uint64_t w;
+      std::memcpy(&w, p + k, 8);
+      m |= ((((~w & kMsbMask) >> 7) * 0x0102040810204080ull) >> 56) << k;
+    }
+    return m;
   }
-  for (; off < window && n < limit; ++off) {
-    if ((p[off] & 0x80) == 0) s16[++n] = static_cast<uint16_t>(off + 1);
-  }
-  return n;
-}
-
-/// Phase B, portable: decode `n` elements with known starts. Every element
-/// must satisfy s16[k+1] - s16[k] <= 8 and p + s16[k] + 8 within bounds
-/// (the caller routes everything else through the scalar decoder).
-template <typename OutT, typename Xform>
-inline void decode_starts_portable(const uint8_t* p, const uint16_t* s16,
-                                   uint32_t n, OutT* out, Xform&& xform) noexcept {
-  for (uint32_t k = 0; k < n; ++k) {
-    const uint32_t s = s16[k];
-    const uint32_t len = s16[k + 1] - s;
-    uint64_t w;
-    std::memcpy(&w, p + s, 8);
-    // Compact the eight 7-bit groups (7+7 -> 14 -> 28 -> 56), then keep the
-    // element's own 7*len bits. Compaction maps byte j's payload to bits
-    // [7j, 7j+7), so the post-compaction mask is exact.
-    w &= kLow7Mask;
+  /// The value of the `len`-byte (1..8) varint in the low bytes of `w`:
+  /// keep the element's payload bits, then compact the eight 7-bit groups
+  /// (7+7 -> 14 -> 28 -> 56).
+  static uint64_t value(uint64_t w, uint32_t len) noexcept {
+    w &= kValueMask[len];
     w = (w & 0x007f007f007f007full) | ((w & 0x7f007f007f007f00ull) >> 1);
     w = (w & 0x00003fff00003fffull) | ((w & 0x3fff00003fff0000ull) >> 2);
-    w = (w & 0x000000000fffffffull) | ((w & 0x0fffffff00000000ull) >> 4);
-    w &= ~0ull >> (64 - 7 * len);
-    out[k] = xform(w);
+    return (w & 0x000000000fffffffull) | ((w & 0x0fffffff00000000ull) >> 4);
   }
-}
+};
 
 #ifdef DPURPC_VARINT_BATCH_X86
-/// BMI2 phase B kernels: pext performs the whole 7-bit compaction in one
-/// instruction and bzhi the length mask. Non-template functions so the
-/// target attribute applies cleanly; dispatched at runtime (the build
-/// stays runnable on pre-Haswell hardware).
-[[gnu::target("bmi,bmi2")]] inline void decode_starts_trunc32_bmi2(
-    const uint8_t* p, const uint16_t* s16, uint32_t n, uint32_t* out) noexcept {
-  for (uint32_t k = 0; k < n; ++k) {
-    const uint32_t s = s16[k];
-    const uint32_t len = s16[k + 1] - s;
-    uint64_t w;
-    std::memcpy(&w, p + s, 8);
-    out[k] = static_cast<uint32_t>(_bzhi_u64(_pext_u64(w, kLow7Mask), 7 * len));
+/// PortableIsa's contract: two movemasks, one pext.
+struct NativeIsa {
+  DPURPC_VARINT_NATIVE static uint64_t terminators(const uint8_t* p) noexcept {
+    const auto lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+    const auto hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 32));
+    const auto cont_lo = static_cast<uint32_t>(_mm256_movemask_epi8(lo));
+    const auto cont_hi = static_cast<uint32_t>(_mm256_movemask_epi8(hi));
+    return ~(static_cast<uint64_t>(cont_hi) << 32 | cont_lo);
   }
-}
-
-[[gnu::target("bmi,bmi2")]] inline void decode_starts_u64_bmi2(
-    const uint8_t* p, const uint16_t* s16, uint32_t n, uint64_t* out) noexcept {
-  for (uint32_t k = 0; k < n; ++k) {
-    const uint32_t s = s16[k];
-    const uint32_t len = s16[k + 1] - s;
-    uint64_t w;
-    std::memcpy(&w, p + s, 8);
-    out[k] = _bzhi_u64(_pext_u64(w, kLow7Mask), 7 * len);
+  DPURPC_VARINT_NATIVE static uint64_t value(uint64_t w, uint32_t len) noexcept {
+    return _pext_u64(w, kValueMask[len]);
   }
-}
+};
 
-inline bool cpu_has_bmi2() noexcept {
-  static const bool v = __builtin_cpu_supports("bmi2");
+inline bool has_native_isa() noexcept {
+  static const bool v =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi") &&
+      __builtin_cpu_supports("bmi2") && __builtin_cpu_supports("popcnt");
   return v;
 }
 #endif  // DPURPC_VARINT_BATCH_X86
 
-/// Value transforms for the public batch entry points; the hot two are
-/// types (not lambdas) so decode_varint_run can route them to the fused
-/// BMI2 kernels.
-struct TruncXform {
-  uint32_t operator()(uint64_t v) const noexcept { return static_cast<uint32_t>(v); }
-};
-struct IdentityXform {
-  uint64_t operator()(uint64_t v) const noexcept { return v; }
-};
+template <class Isa>
+inline uint32_t count_terminators(const uint8_t* p, const uint8_t* end) noexcept {
+  uint32_t n = 0;
+  for (; end - p >= kWindow; p += kWindow) n += std::popcount(Isa::terminators(p));
+  for (; end - p >= 8; p += 8) {
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    n += std::popcount(~w & kMsbMask);
+  }
+  for (; p != end; ++p) n += (*p & 0x80) == 0;
+  return n;
+}
+
+/// Decode the elements ending at the set bits of `m`, a terminator mask of
+/// `src` (the bytes at `at`, or a padded copy of them), stopping at `stop`.
+/// Returns the start of the first element not decoded, or nullptr for an
+/// empty mask (no element ends within 64 bytes, or the input is truncated)
+/// or an element decode_varint rejects.
+template <class Isa, typename OutT, typename Xform>
+inline const uint8_t* walk_window(const uint8_t* src, const uint8_t* at,
+                                  const uint8_t* end, uint64_t m, OutT*& out,
+                                  OutT* stop, Xform& xform) noexcept {
+  const auto n = std::min(static_cast<uint32_t>(std::popcount(m)),
+                          static_cast<uint32_t>(stop - out));
+  if (n == 0) return nullptr;
+  ptrdiff_t last = -1;  // the previous element's terminator
+  for (uint32_t k = 0; k < n; ++k) {
+    const ptrdiff_t t = std::countr_zero(m);
+    m &= m - 1;
+    const auto len = static_cast<uint32_t>(t - last);
+    if (len <= 8) [[likely]] {
+      uint64_t w;
+      std::memcpy(&w, src + (last + 1), 8);
+      *out++ = xform(Isa::value(w, len));
+    } else {
+      const VarintResult r = decode_varint(at + (last + 1), end);
+      if (!r.ok) return nullptr;
+      *out++ = xform(r.value);
+    }
+    last = t;
+  }
+  return at + (last + 1);
+}
+
+/// The fused pass; see the header comment.
+template <class Isa, typename OutT, typename Xform>
+inline const uint8_t* decode_run(const uint8_t* p, const uint8_t* end, uint32_t count,
+                                 OutT* out, Xform& xform) noexcept {
+  OutT* const stop = out + count;
+  // Full windows: 64 mask bytes plus 8 bytes of probe slack.
+  while (out != stop && end - p >= kWindow + 8) {
+    p = walk_window<Isa>(p, p, end, Isa::terminators(p), out, stop, xform);
+    if (p == nullptr) return nullptr;
+  }
+  if (out == stop) return p;
+  // The last window(s): under 72 bytes, walked over a zero-padded copy.
+  uint8_t tail[2 * kWindow + 8] = {};
+  const auto rem = static_cast<size_t>(end - p);
+  if (rem != 0) std::memcpy(tail, p, rem);
+  size_t off = 0;
+  while (out != stop) {
+    uint64_t m = Isa::terminators(tail + off);
+    if (rem - off < kWindow) m &= (uint64_t{1} << (rem - off)) - 1;
+    const uint8_t* next =
+        walk_window<Isa>(tail + off, p + off, end, m, out, stop, xform);
+    if (next == nullptr) return nullptr;
+    off = static_cast<size_t>(next - p);
+  }
+  return p + off;
+}
+
+// The two instantiations, each one out-of-line function. flatten inlines
+// the generic template and the Isa's helpers into the target-attributed
+// native kernel (plain inlining cannot cross the target mismatch).
+[[gnu::noinline, gnu::flatten]] DPURPC_HOT_PATH inline uint32_t
+count_terminators_portable(const uint8_t* p, const uint8_t* end) noexcept {
+  return count_terminators<PortableIsa>(p, end);
+}
+
+template <typename OutT, typename Xform>
+[[gnu::noinline, gnu::flatten]] DPURPC_HOT_PATH inline const uint8_t*
+decode_run_portable(const uint8_t* p, const uint8_t* end, uint32_t count, OutT* out,
+                    Xform xform) noexcept {
+  return decode_run<PortableIsa>(p, end, count, out, xform);
+}
+
+#ifdef DPURPC_VARINT_BATCH_X86
+[[gnu::noinline, gnu::flatten]] DPURPC_HOT_PATH DPURPC_VARINT_NATIVE inline uint32_t
+count_terminators_native(const uint8_t* p, const uint8_t* end) noexcept {
+  return count_terminators<NativeIsa>(p, end);
+}
+
+template <typename OutT, typename Xform>
+[[gnu::noinline, gnu::flatten]] DPURPC_HOT_PATH DPURPC_VARINT_NATIVE inline const uint8_t*
+decode_run_native(const uint8_t* p, const uint8_t* end, uint32_t count, OutT* out,
+                  Xform xform) noexcept {
+  return decode_run<NativeIsa>(p, end, count, out, xform);
+}
+#endif  // DPURPC_VARINT_BATCH_X86
 
 }  // namespace detail
+
+/// Count varint terminators (bytes without the continuation bit) in
+/// [p, end): the element count of a packed varint payload.
+DPURPC_HOT_PATH inline uint32_t count_varint_terminators(const uint8_t* p,
+                                                         const uint8_t* end) noexcept {
+#ifdef DPURPC_VARINT_BATCH_X86
+  if (detail::has_native_isa()) return detail::count_terminators_native(p, end);
+#endif
+  return detail::count_terminators_portable(p, end);
+}
 
 /// Decode exactly `count` varints from [p, end) into `out`, applying
 /// `xform` (value normalization: truncation, zigzag, bool) to each.
@@ -204,92 +238,30 @@ struct IdentityXform {
 /// truncated or overlong — exactly the inputs decode_varint rejects.
 template <typename OutT, typename Xform>
 inline const uint8_t* decode_varint_run(const uint8_t* p, const uint8_t* end,
-                                        uint32_t count, OutT* out,
-                                        Xform&& xform) noexcept {
-  constexpr uint32_t kChunk = 256;
-  constexpr uint32_t kMaxWindow = 0xF000;  // keep phase A offsets in uint16
-  const auto size = static_cast<size_t>(end - p);
-
-  uint16_t s16[kChunk + 16];
-  uint32_t i = 0;   // elements decoded
-  uint32_t base = 0;  // byte offset of the current chunk
-  while (i < count) {
-    const uint8_t* cp = p + base;
-    const auto window =
-        static_cast<uint32_t>(std::min<size_t>(size - base, kMaxWindow));
-    const uint32_t n = detail::collect_starts(cp, window, s16, kChunk);
-    const uint32_t take = std::min(n, count - i);
-    if (take == 0) break;  // no complete element in the window: scalar tail
-
-    // Elements longer than an 8-byte probe (possible for u64) force the
-    // chunk through the scalar path. Phrased as a max reduction with no
-    // early exit so the scan vectorizes. Elements too close to the buffer
-    // end for a full probe are a suffix (starts ascend) and peel off the
-    // back.
-    uint16_t max_len = 0;
-    for (uint32_t k = 0; k < take; ++k) {
-      max_len = std::max(max_len, static_cast<uint16_t>(s16[k + 1] - s16[k]));
-    }
-    uint32_t cut = take;
-    while (cut > 0 && base + s16[cut - 1] + 8 > size) --cut;
-    if (max_len > 8) cut = 0;
-
-    if (cut > 0) {
+                                        uint32_t count, OutT* out, Xform xform) noexcept {
 #ifdef DPURPC_VARINT_BATCH_X86
-      if (detail::cpu_has_bmi2()) {
-        if constexpr (std::is_same_v<std::decay_t<Xform>, detail::TruncXform>) {
-          detail::decode_starts_trunc32_bmi2(cp, s16, cut, out + i);
-        } else if constexpr (std::is_same_v<std::decay_t<Xform>,
-                                            detail::IdentityXform>) {
-          detail::decode_starts_u64_bmi2(cp, s16, cut, out + i);
-        } else {
-          uint64_t vals[kChunk];
-          detail::decode_starts_u64_bmi2(cp, s16, cut, vals);
-          for (uint32_t k = 0; k < cut; ++k) out[i + k] = xform(vals[k]);
-        }
-      } else
+  if (detail::has_native_isa()) {
+    return detail::decode_run_native(p, end, count, out, xform);
+  }
 #endif
-      {
-        detail::decode_starts_portable(cp, s16, cut, out + i, xform);
-      }
-    }
-    // Scalar remainder of the chunk: payload tail and overlong chunks. The
-    // scalar decoder consumes to the same terminators phase A indexed (or
-    // fails), so the cursor math below stays exact.
-    const uint8_t* q = cp + s16[cut];
-    for (uint32_t k = cut; k < take; ++k) {
-      auto r = decode_varint(q, end);
-      if (!r.ok) return nullptr;
-      out[i + k] = xform(r.value);
-      q = r.next;
-    }
-    i += take;
-    base += s16[take];
-  }
-
-  // Bounds-checked tail: fewer complete elements than requested in the last
-  // window (truncated payload or terminator-free garbage) ends up here and
-  // produces the exact decode_varint error behavior.
-  const uint8_t* q = p + base;
-  for (; i < count; ++i) {
-    auto r = decode_varint(q, end);
-    if (!r.ok) return nullptr;
-    out[i] = xform(r.value);
-    q = r.next;
-  }
-  return q;
+  return detail::decode_run_portable(p, end, count, out, xform);
 }
 
 /// Truncating u32 batch (int32/uint32/enum storage — two's complement).
-DPURPC_HOT_PATH inline const uint8_t* decode_varint_batch32(const uint8_t* p, const uint8_t* end,
-                                            uint32_t count, uint32_t* out) noexcept {
-  return decode_varint_run(p, end, count, out, detail::TruncXform{});
+DPURPC_HOT_PATH inline const uint8_t* decode_varint_batch32(const uint8_t* p,
+                                                            const uint8_t* end,
+                                                            uint32_t count,
+                                                            uint32_t* out) noexcept {
+  return decode_varint_run(p, end, count, out,
+                           [](uint64_t v) { return static_cast<uint32_t>(v); });
 }
 
 /// Full-width u64 batch (int64/uint64 storage).
-DPURPC_HOT_PATH inline const uint8_t* decode_varint_batch64(const uint8_t* p, const uint8_t* end,
-                                            uint32_t count, uint64_t* out) noexcept {
-  return decode_varint_run(p, end, count, out, detail::IdentityXform{});
+DPURPC_HOT_PATH inline const uint8_t* decode_varint_batch64(const uint8_t* p,
+                                                            const uint8_t* end,
+                                                            uint32_t count,
+                                                            uint64_t* out) noexcept {
+  return decode_varint_run(p, end, count, out, [](uint64_t v) { return v; });
 }
 
 // ------------------------------------------------------- batch encoding
@@ -306,7 +278,7 @@ DPURPC_HOT_PATH inline size_t varint_size_run(const uint64_t* vals, uint32_t cou
 namespace detail {
 
 /// Spread the low 56 bits of `v` into eight 7-bit-per-byte groups — the
-/// exact inverse of the decode compaction in decode_starts_portable.
+/// exact inverse of the decode compaction in PortableIsa::value.
 inline uint64_t spread7_portable(uint64_t v) noexcept {
   uint64_t w = (v & 0x000000000fffffffull) | ((v << 4) & 0x0fffffff00000000ull);
   w = (w & 0x00003fff00003fffull) | ((w << 2) & 0x3fff00003fff0000ull);
@@ -371,7 +343,7 @@ inline uint8_t* encode_run_portable(uint8_t* dst, uint8_t* dst_end,
 DPURPC_HOT_PATH inline uint8_t* encode_varint_run(uint8_t* dst, uint8_t* dst_end,
                                   const uint64_t* vals, uint32_t count) noexcept {
 #ifdef DPURPC_VARINT_BATCH_X86
-  if (detail::cpu_has_bmi2()) {
+  if (detail::has_native_isa()) {
     return detail::encode_run_bmi2(dst, dst_end, vals, count);
   }
 #endif

@@ -26,13 +26,18 @@ void Channel::close() {
     closed_ = true;
   }
   fd_.shutdown();
+  // The reader fails whatever is still outstanding on its way out.
   if (reader_.joinable()) reader_.join();
-  // Fail anything still outstanding. Orphaned traces never get a root
-  // span; the collector ages them out as orphans.
+}
+
+void Channel::fail_outstanding() {
+  // Orphaned traces never get a root span; the collector ages them out
+  // as orphans.
   std::map<uint32_t, PendingCall> orphans;
   std::map<uint32_t, std::shared_ptr<StreamState>> stream_orphans;
   {
     lockdep::ScopedLock lk(mu_);
+    reader_done_ = true;
     orphans.swap(pending_);
     stream_orphans.swap(streams_);
   }
@@ -57,7 +62,7 @@ Status Channel::call_async(std::string_view method, ByteSpan payload, Callback d
   uint32_t id;
   {
     lockdep::ScopedLock lk(mu_);
-    if (closed_) return Status(Code::kUnavailable, "channel closed");
+    if (closed_ || reader_done_) return Status(Code::kUnavailable, "channel closed");
     id = next_call_id_++;
     pending_[id] = PendingCall{std::move(done), tctx, start_ns};
   }
@@ -124,7 +129,7 @@ StatusOr<std::unique_ptr<ClientStream>> Channel::open_stream(
   uint32_t id;
   {
     lockdep::ScopedLock lk(mu_);
-    if (closed_) return Status(Code::kUnavailable, "channel closed");
+    if (closed_ || reader_done_) return Status(Code::kUnavailable, "channel closed");
     id = next_call_id_++;
     st->call_id = id;
     streams_[id] = st;
@@ -180,7 +185,10 @@ void Channel::reader_loop() {
   FrameReader reader(fd_);
   while (true) {
     auto frame = reader.next();
-    if (!frame.is_ok()) return;  // closed
+    if (!frame.is_ok()) {  // peer closed, or close() shut the socket
+      fail_outstanding();
+      return;
+    }
     if (frame->type == FrameType::kStreamCredit) {
       std::shared_ptr<StreamState> st;
       {

@@ -55,6 +55,10 @@ class Channel {
   friend class ClientStream;
   explicit Channel(Fd fd);
   void reader_loop();
+  /// Reader exit (peer closed, or close() shut the socket): refuse new
+  /// calls and answer every pending call and open stream with
+  /// UNAVAILABLE, each exactly once, outside the lock.
+  void fail_outstanding();
   /// Final kResponse routed to a stream (reader thread).
   void finish_stream(const std::shared_ptr<StreamState>& st,
                      ResponseFrame&& resp);
@@ -77,6 +81,8 @@ class Channel {
   uint32_t next_call_id_ DPURPC_GUARDED_BY(mu_) = 1;
   std::thread reader_;
   bool closed_ DPURPC_GUARDED_BY(mu_) = false;
+  /// The reader has stopped: nothing sent now can be answered.
+  bool reader_done_ DPURPC_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace dpurpc::xrpc

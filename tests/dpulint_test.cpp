@@ -195,6 +195,11 @@ TEST(DpulintRealTree, RequiredHotRootsAnnotated) {
            // thread and the sampler's per-period read pass.
            "dpurpc::trace::FlightRecorder::should_capture",
            "dpurpc::trace::ResourceSampler::sample_once",
+           // Packed-varint decode: the count pass and the fused batch
+           // kernels the parse plans call.
+           "dpurpc::wire::decode_varint_batch32",
+           "dpurpc::wire::decode_varint_batch64",
+           "dpurpc::wire::count_varint_terminators",
        }) {
     EXPECT_EQ(std::count(hot.begin(), hot.end(), std::string(required)), 1)
         << "missing hot annotation: " << required;

@@ -1131,6 +1131,27 @@ TEST_F(OffloadFixture, StopOnAnIdleLaneReturnsPromptly) {
   EXPECT_FALSE((*chan)->call("kv.KvStore/Get", ByteSpan(wire), 200).is_ok());
 }
 
+TEST_F(OffloadFixture, CallAfterStopFailsAtOnceNotAtItsTimeout) {
+  // stop() closes the lane's sockets; the channel's reader sees EOF and
+  // from then on refuses calls, so a sync call with a 5 s timeout fails
+  // at once rather than waiting the timeout out.
+  ASSERT_TRUE(register_get_echo(*host_).is_ok());
+  start_host_loop();
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+  Bytes wire = get_request(pool_, "bye");
+  ASSERT_TRUE((*chan)->call("kv.KvStore/Get", ByteSpan(wire), 2000).is_ok());
+  proxy_->stop();
+  const uint64_t t0 = WallTimer::now();
+  auto late = (*chan)->call("kv.KvStore/Get", ByteSpan(wire), 5000);
+  EXPECT_LT(WallTimer::now() - t0, 100'000'000u);
+  ASSERT_FALSE(late.is_ok());
+  EXPECT_EQ(late.status().code(), Code::kUnavailable);
+}
+
 TEST_F(OffloadFixture, MetricsScrapeIsAnsweredThroughTheProxyPort) {
   start_host_loop();
   proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());

@@ -2,7 +2,10 @@
 // coded streams, and UTF-8 validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "wire/coded_stream.hpp"
@@ -223,6 +226,185 @@ TEST(VarintBatch, TruncatedTailReturnsNull) {
     if (whole >= 3) continue;
     EXPECT_EQ(decode_varint_batch64(buf, cut, whole + 1, out), nullptr)
         << "cut at " << (cut - buf);
+  }
+}
+
+// ------------------------------------- fused kernels vs decode_varint loop
+//
+// The native (AVX2+BMI2) and portable instantiations are called directly,
+// so both are checked on every machine that can run them. The reference is
+// a plain decode_varint loop: values, the returned cursor and accept/reject
+// must all match.
+
+template <typename OutT, typename Xform>
+const uint8_t* scalar_run(const uint8_t* p, const uint8_t* end, uint32_t count,
+                          OutT* out, Xform xform) {
+  for (uint32_t i = 0; i < count; ++i) {
+    const VarintResult r = decode_varint(p, end);
+    if (!r.ok) return nullptr;
+    out[i] = xform(r.value);
+    p = r.next;
+  }
+  return p;
+}
+
+uint32_t scalar_count(const std::vector<uint8_t>& buf) {
+  uint32_t n = 0;
+  for (uint8_t b : buf) n += (b & 0x80) == 0;
+  return n;
+}
+
+// `buf` is held at exactly its size, so a kernel read past `end` is a heap
+// overflow under ASan.
+template <typename OutT, typename Xform>
+void expect_kernels_match(const std::vector<uint8_t>& buf, uint32_t count, Xform xform,
+                          const std::string& what) {
+  const uint8_t* p = buf.data();
+  const uint8_t* end = p + buf.size();
+  std::vector<OutT> want(count), got(count);
+  const uint8_t* want_next = scalar_run(p, end, count, want.data(), xform);
+  const auto check = [&](const char* kernel, const uint8_t* next) {
+    ASSERT_EQ(next, want_next) << kernel << ": " << what;
+    if (want_next != nullptr) {
+      ASSERT_EQ(got, want) << kernel << ": " << what;
+    }
+  };
+  check("portable", detail::decode_run_portable(p, end, count, got.data(), xform));
+#ifdef DPURPC_VARINT_BATCH_X86
+  if (detail::has_native_isa()) {
+    std::fill(got.begin(), got.end(), OutT{});
+    check("native", detail::decode_run_native(p, end, count, got.data(), xform));
+  }
+#endif
+}
+
+// Every value transform the parse plans use: u64, u32, sint32, sint64, bool.
+void expect_all_xforms_match(const std::vector<uint8_t>& buf, uint32_t count,
+                             const std::string& what) {
+  expect_kernels_match<uint64_t>(buf, count, [](uint64_t v) { return v; }, what);
+  expect_kernels_match<uint32_t>(
+      buf, count, [](uint64_t v) { return static_cast<uint32_t>(v); }, what);
+  expect_kernels_match<int32_t>(
+      buf, count,
+      [](uint64_t v) { return zigzag_decode32(static_cast<uint32_t>(v)); }, what);
+  expect_kernels_match<int64_t>(
+      buf, count, [](uint64_t v) { return zigzag_decode64(v); }, what);
+  expect_kernels_match<uint8_t>(
+      buf, count, [](uint64_t v) { return static_cast<uint8_t>(v != 0); }, what);
+}
+
+// A `len`-byte encoding (1..10) of a random payload, overlong forms
+// included; a 10-byte one carries bit 63 in its last byte (0 or 1).
+void append_len(std::vector<uint8_t>& buf, uint32_t len, std::mt19937_64& rng) {
+  for (uint32_t i = 0; i + 1 < len; ++i) buf.push_back(0x80 | (rng() & 0x7f));
+  buf.push_back(len == 10 ? rng() & 1 : rng() & 0x7f);
+}
+
+TEST(VarintBatch, FusedKernelsMatchAtEveryWindowOffset) {
+  // An element of every length 1..10 starts at every offset of the first
+  // 64-byte window (and just past it), followed by a run long enough to
+  // keep it in a full window, or by nothing so it sits in the tail.
+  std::mt19937_64 rng(dpurpc::kDefaultSeed ^ 0xf05e);
+  for (uint32_t len = 1; len <= 10; ++len) {
+    for (uint32_t off = 0; off < 72; ++off) {
+      for (uint32_t suffix : {0u, 3u, 100u}) {
+        std::vector<uint8_t> buf;
+        for (uint32_t i = 0; i < off; ++i) buf.push_back(rng() & 0x7f);
+        append_len(buf, len, rng);
+        for (uint32_t i = 0; i < suffix; ++i) append_len(buf, 1 + rng() % 3, rng);
+        const auto count = scalar_count(buf);
+        ASSERT_EQ(count, off + 1 + suffix);
+        expect_all_xforms_match(buf, count,
+                                "len " + std::to_string(len) + " off " +
+                                    std::to_string(off) + " suffix " +
+                                    std::to_string(suffix));
+      }
+    }
+  }
+}
+
+TEST(VarintBatch, FusedKernelsDecodeTenByteElementMidLongRun) {
+  std::mt19937_64 rng(dpurpc::kDefaultSeed ^ 0x10b);
+  std::vector<uint8_t> buf;
+  for (int i = 0; i < 500; ++i) append_len(buf, 1 + rng() % 3, rng);
+  buf.resize(buf.size() + 10);
+  encode_varint(buf.data() + buf.size() - 10, UINT64_MAX);
+  for (int i = 0; i < 500; ++i) append_len(buf, 1 + rng() % 3, rng);
+  ASSERT_EQ(scalar_count(buf), 1001u);
+  expect_all_xforms_match(buf, 1001, "10-byte element at 500");
+}
+
+TEST(VarintBatch, FusedKernelsRejectOverlongAndOverflowMidRun) {
+  std::mt19937_64 rng(dpurpc::kDefaultSeed ^ 0xbad);
+  // An 11-byte element and a 10-byte element whose last byte spills past
+  // bit 63, each in the middle of a run: decode_varint rejects both.
+  const std::vector<std::vector<uint8_t>> bad = {
+      {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00},
+      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}};
+  for (const auto& elem : bad) {
+    for (uint32_t before : {0u, 37u, 300u}) {
+      std::vector<uint8_t> buf;
+      for (uint32_t i = 0; i < before; ++i) append_len(buf, 1 + rng() % 3, rng);
+      buf.insert(buf.end(), elem.begin(), elem.end());
+      for (int i = 0; i < 200; ++i) append_len(buf, 1 + rng() % 3, rng);
+      const auto count = scalar_count(buf);
+      std::vector<uint64_t> sink(count);
+      ASSERT_EQ(scalar_run(buf.data(), buf.data() + buf.size(), count, sink.data(),
+                           [](uint64_t v) { return v; }),
+                nullptr);
+      expect_all_xforms_match(buf, count,
+                              "bad element after " + std::to_string(before));
+    }
+  }
+}
+
+TEST(VarintBatch, FusedKernelsRejectTruncatedLastElement) {
+  std::mt19937_64 rng(dpurpc::kDefaultSeed ^ 0x7a11);
+  for (uint32_t n = 0; n < 120; ++n) {
+    std::vector<uint8_t> buf;
+    for (uint32_t i = 0; i < n; ++i) append_len(buf, 1 + rng() % 10, rng);
+    const uint32_t whole = scalar_count(buf);
+    // Start a last element and cut it after 1..9 continuation bytes.
+    for (uint32_t i = 0, cut = 1 + rng() % 9; i < cut; ++i) buf.push_back(0x80);
+    expect_all_xforms_match(buf, whole + 1, "truncated after " + std::to_string(n));
+    expect_all_xforms_match(buf, whole, "whole prefix of " + std::to_string(n));
+  }
+}
+
+TEST(VarintBatch, FusedKernelsMatchOnRandomPayloadsUpTo80Bytes) {
+  // Raw random bytes (roughly half continuation bytes) at every size that
+  // touches the tail copy, asking for the exact, one more and one fewer
+  // element than the terminator count.
+  std::mt19937_64 rng(dpurpc::kDefaultSeed ^ 0x80b);
+  for (uint32_t size = 0; size <= 80; ++size) {
+    for (int round = 0; round < 40; ++round) {
+      std::vector<uint8_t> buf(size);
+      const uint64_t cont_odds = 1 + round % 4;  // P(continuation) = k/(k+1)
+      for (auto& b : buf) b = (rng() % (cont_odds + 1) ? 0x80 : 0) | (rng() & 0x7f);
+      const uint32_t count = scalar_count(buf);
+      const std::string what = "size " + std::to_string(size) + " round " +
+                               std::to_string(round);
+      expect_all_xforms_match(buf, count, what);
+      expect_all_xforms_match(buf, count + 1, what + " +1");
+      if (count > 0) expect_all_xforms_match(buf, count - 1, what + " -1");
+    }
+  }
+}
+
+TEST(VarintBatch, VectorCountMatchesScalarCount) {
+  std::mt19937_64 rng(dpurpc::kDefaultSeed ^ 0xc0);
+  for (uint32_t size = 0; size <= 300; ++size) {
+    std::vector<uint8_t> buf(size);
+    for (auto& b : buf) b = static_cast<uint8_t>(rng());
+    const uint8_t* p = buf.data();
+    const uint32_t want = scalar_count(buf);
+    EXPECT_EQ(detail::count_terminators_portable(p, p + size), want) << size;
+#ifdef DPURPC_VARINT_BATCH_X86
+    if (detail::has_native_isa()) {
+      EXPECT_EQ(detail::count_terminators_native(p, p + size), want) << size;
+    }
+#endif
+    EXPECT_EQ(count_varint_terminators(p, p + size), want) << size;
   }
 }
 

@@ -170,6 +170,48 @@ TEST(Xrpc, ServerShutdownFailsInFlightCalls) {
   EXPECT_TRUE(failed.load());
 }
 
+TEST(Xrpc, PeerCloseFailsPendingCallsOnceAndLaterCallsAtOnce) {
+  // The peer goes away with a unary call and a stream outstanding and the
+  // channel still open: the reader answers both with UNAVAILABLE on EOF
+  // (close() is never called here), and a later call fails at once
+  // instead of waiting out its timeout.
+  auto server = Server::start(CallHandler([](CallContext) { /* never responds */ }));
+  ASSERT_TRUE(server.is_ok());
+  auto chan = Channel::connect((*server)->port());
+  ASSERT_TRUE(chan.is_ok());
+  std::atomic<int> answered{0};
+  std::atomic<Code> code{Code::kOk};
+  ASSERT_TRUE((*chan)
+                  ->call_async("x/Y", {},
+                               [&](Code c, Bytes) {
+                                 code = c;
+                                 answered.fetch_add(1);
+                               })
+                  .is_ok());
+  auto stream = (*chan)->open_stream("x/Stream");
+  ASSERT_TRUE(stream.is_ok());
+  (*server)->shutdown();
+
+  for (int i = 0; i < 2000 && answered.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(answered.load(), 1);
+  EXPECT_EQ(code.load(), Code::kUnavailable);
+  auto fin = (*stream)->finish(5000);
+  ASSERT_FALSE(fin.is_ok());
+
+  const auto t0 = std::chrono::steady_clock::now();
+  auto late = (*chan)->call("x/Y", {}, 5000);
+  EXPECT_FALSE(late.is_ok());
+  EXPECT_EQ(late.status().code(), Code::kUnavailable);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(100));
+  EXPECT_FALSE((*chan)->open_stream("x/Stream").is_ok());
+
+  stream->reset();
+  (*chan)->close();
+  EXPECT_EQ(answered.load(), 1);  // answered exactly once
+}
+
 TEST(Xrpc, ShutdownRacesInFlightTraffic) {
   // TSan regression shape for the server stop/join ordering audit: fire
   // async traffic from several channels and shut the server down in the
